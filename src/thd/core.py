@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -127,14 +128,10 @@ class TimeVaryingHypergraph:
             raise KeyError(edge_id)
         return self.edges[idx]
 
-    @property
+    @cached_property
     def _edge_index(self) -> dict[str, int]:
-        # lazily built; cached on the instance despite frozen dataclass
-        cache = self.__dict__.get("_edge_index_cache")
-        if cache is None:
-            cache = {e.id: i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_index_cache", cache)
-        return cache
+        # built on first lookup: scale runs never look edges up by id
+        return {e.id: i for i, e in enumerate(self.edges)}
 
 
 def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHypergraph:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, BinaryIO, Iterable
 
-from .core import MAX_TICK, MIN_TICK, TemporalHyperedge, TimeVaryingHypergraph
+from .core import TemporalHyperedge, TimeVaryingHypergraph
 from .errors import MalformedJson, MixedTimeEncodings, RecordInvalid
 
 if TYPE_CHECKING:
@@ -211,8 +211,6 @@ def _parse_record(
         raise MixedTimeEncodings(
             f"edge record {index} uses {enc_s!r} but document started with {encoding!r}"
         )
-    if not (MIN_TICK <= start <= MAX_TICK and MIN_TICK <= end <= MAX_TICK):
-        raise RecordInvalid(index, "tick outside representable range")
 
     edge = TemporalHyperedge(edge_id, frozenset(participants), start, end)
     try:

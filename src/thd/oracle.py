@@ -92,12 +92,6 @@ def enumerate_walks(
         stack.extend(reversed(pushed))
 
 
-def _walk_time_profile(h: TimeVaryingHypergraph, walk: TemporalWalk) -> tuple[Tick, Tick]:
-    """(latest start, earliest end) over the walk's edges; needs >= 1 hop."""
-    edges = [h.edge_by_id(edge_id) for edge_id, _ in walk.hops]
-    return max(e.start for e in edges), min(e.end for e in edges)
-
-
 def _optimal_departure(max_start: Tick, min_end: Tick, t0: Tick) -> Tick:
     """Smallest departure >= t0 minimizing a walk's duration.
 
@@ -110,20 +104,6 @@ def _optimal_departure(max_start: Tick, min_end: Tick, t0: Tick) -> Tick:
     if max_start <= min_end:
         return max_start
     return min_end
-
-
-def best_duration(h: TimeVaryingHypergraph, walk: TemporalWalk, t0: Tick) -> tuple[Tick, Tick]:
-    """Optimal (duration, departure) of a fixed walk over departures >= t0.
-
-    A walk enumerated as feasible at ``t0`` is feasible at every departure
-    in ``[t0, min_end]``, so the optimum is always attainable.
-    """
-    if not walk.hops:
-        return 0, t0
-    max_start, min_end = _walk_time_profile(h, walk)
-    tau = _optimal_departure(max_start, min_end, t0)
-    arrival = tau if tau >= max_start else max_start
-    return arrival - tau, tau
 
 
 def _at_departure(h: TimeVaryingHypergraph, walk: TemporalWalk, tau: Tick) -> TemporalWalk:

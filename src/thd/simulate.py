@@ -13,11 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .core import Tick, TimeVaryingHypergraph
@@ -391,6 +393,28 @@ def _compute_source_doc(source: str) -> tuple[str, dict]:
     return source, _source_doc(source, resolve_t0(h, plan, source), labels)
 
 
+def _source_docs(
+    h: TimeVaryingHypergraph, plan: SimulationPlan, todo: Sequence[str]
+) -> Iterator[tuple[str, dict]]:
+    """Yield ``(source, doc)`` for ``todo`` in order, on a fork pool when parallel.
+
+    All sources are submitted to the pool up front; results come back in
+    submission order, so callers see the same sequence for any parallelism.
+    """
+    global _WORKER_STATE
+    _WORKER_STATE = (h, plan)
+    try:
+        workers = min(plan.parallelism, len(todo))
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                yield from pool.map(_compute_source_doc, todo)
+        else:
+            yield from map(_compute_source_doc, todo)
+    finally:
+        _WORKER_STATE = None
+
+
 def run(
     h: TimeVaryingHypergraph,
     plan: SimulationPlan,
@@ -402,10 +426,10 @@ def run(
     names a checkpoint path, completed sources are flushed there at the
     configured interval and an existing compatible checkpoint short-cuts
     recomputation; an incompatible one raises CheckpointMismatch rather
-    than mixing results. ``progress`` is invoked once per freshly computed
-    source.
+    than mixing results. Sources are recorded in source-id order whatever
+    the parallelism, so every flush holds a source-order prefix of the run.
+    ``progress`` is invoked once per freshly computed source.
     """
-    global _WORKER_STATE
     validate_plan(h, plan)
     sources = resolve_sources(h, plan)
     in_digest = input_digest(h)
@@ -422,55 +446,19 @@ def run(
             raise CheckpointMismatch(
                 f"{plan.checkpoint_path}: checkpoint was written for a different plan"
             )
-        done = {s: d for s, d in docs.items() if s in set(sources)}
+        planned = set(sources)
+        done = {s: d for s, d in docs.items() if s in planned}
         log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
 
     todo = [s for s in sources if s not in done]
-
-    def flush() -> None:
-        if plan.checkpoint_path:
-            checkpoint_write(plan.checkpoint_path, in_digest, p_digest, done)
-
-    completed_since_flush = 0
-    workers = min(plan.parallelism, max(len(todo), 1))
-    if todo:
-        if workers > 1 and _fork_available():
-            _WORKER_STATE = (h, plan)
-            try:
-                import multiprocessing
-
-                ctx = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                    pending = {pool.submit(_compute_source_doc, s) for s in todo}
-                    while pending:
-                        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        for fut in finished:
-                            source, doc = fut.result()
-                            done[source] = doc
-                            completed_since_flush += 1
-                            if progress is not None:
-                                progress(source)
-                            if completed_since_flush >= plan.checkpoint_interval:
-                                flush()
-                                completed_since_flush = 0
-            finally:
-                _WORKER_STATE = None
-        else:
-            _WORKER_STATE = (h, plan)
-            try:
-                for s in todo:
-                    source, doc = _compute_source_doc(s)
-                    done[source] = doc
-                    completed_since_flush += 1
-                    if progress is not None:
-                        progress(source)
-                    if completed_since_flush >= plan.checkpoint_interval:
-                        flush()
-                        completed_since_flush = 0
-            finally:
-                _WORKER_STATE = None
-    if completed_since_flush:
-        flush()
+    # closing() shuts the pool down at once when the loop body raises
+    with closing(_source_docs(h, plan, todo)) as stream:
+        for n, (source, doc) in enumerate(stream, 1):
+            done[source] = doc
+            if progress is not None:
+                progress(source)
+            if plan.checkpoint_path and (n % plan.checkpoint_interval == 0 or n == len(todo)):
+                checkpoint_write(plan.checkpoint_path, in_digest, p_digest, done)
 
     label_docs = tuple(done[s] for s in sources)
     label_sets = [_labels_from_doc(d) for d in label_docs]
@@ -486,9 +474,3 @@ def run(
         "tool_version": __version__,
     }
     return DiffusionResult(tuple(flat), summary, provenance, label_docs)
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()

@@ -12,6 +12,7 @@ from thd import (
     run,
     write_results,
 )
+from thd import simulate
 from thd.errors import CheckpointMismatch, CorruptCheckpoint, PlanInvalid
 from thd.simulate import (
     aggregate,
@@ -214,10 +215,30 @@ def test_checkpoint_mismatch_refused(tmp_path, g1, g2):
         run(g1, plan2)  # same input, different plan
 
 
-def test_interrupt_and_resume_byte_identical(tmp_path):
+def test_flushed_sources_independent_of_parallelism(tmp_path, monkeypatch):
+    h = small_net(seed=13)
+    flushed = []
+    monkeypatch.setattr(
+        simulate, "checkpoint_write", lambda path, i, p, docs: flushed[-1].append(sorted(docs))
+    )
+    for degree in (1, 2):
+        flushed.append([])
+        plan = SimulationPlan(
+            t0=0, parallelism=degree, checkpoint_path=str(tmp_path / f"ck{degree}"),
+            checkpoint_interval=3,
+        )
+        run(h, plan)
+    assert len(flushed[0]) == -(-h.vertex_count // 3)
+    assert flushed[0] == flushed[1]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
     h = small_net(seed=11)
     ck = str(tmp_path / "ck")
-    plan = SimulationPlan(t0=0, checkpoint_path=ck, checkpoint_interval=2)
+    plan = SimulationPlan(
+        t0=0, parallelism=parallelism, checkpoint_path=ck, checkpoint_interval=2
+    )
 
     baseline = write_results(run(h, SimulationPlan(t0=0)))
 
@@ -231,9 +252,11 @@ def test_interrupt_and_resume_byte_identical(tmp_path):
 
     with pytest.raises(KeyboardInterrupt):
         run(h, plan, progress=tripwire)
+    assert simulate._WORKER_STATE is None
 
     _, _, flushed = checkpoint_load(ck)
-    assert len(flushed) == 6  # last full interval of 2 before the interrupt
+    # last full interval of 2 before the interrupt, in source order
+    assert sorted(flushed) == list(h.vertex_ids[:6])
 
     recomputed = []
     result = run(h, plan, progress=recomputed.append)
