@@ -52,6 +52,18 @@ def enumerate_walks(
     that re-select the vertex just entered are skipped: they never change
     any metric. Revisiting earlier vertices is allowed.
     """
+    for _, hops, arrivals, _, _ in _walk_states(h, source, t0, max_hops):
+        yield TemporalWalk(source, t0, hops, arrivals)
+
+
+_WalkState = tuple[int, tuple[tuple[str, str], ...], tuple[Tick, ...], float, float]
+
+
+def _walk_states(
+    h: TimeVaryingHypergraph, source: str, t0: Tick, max_hops: int
+) -> Iterator[_WalkState]:
+    """:func:`enumerate_walks` as raw states ``(terminus index, hops, arrivals,
+    max start, min end)``; the last two are ``(-inf, inf)`` for the empty walk."""
     if max_hops < 0:
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
     src = h.index_of(source)
@@ -70,51 +82,27 @@ def enumerate_walks(
             by_id[u] = lst
         return lst
 
-    # stack of (vertex, now, hops-so-far, arrivals-so-far)
-    stack: list[tuple[int, Tick, tuple[tuple[str, str], ...], tuple[Tick, ...]]] = [
-        (src, t0, (), ())
-    ]
+    stack: list[_WalkState] = [(src, (), (), float("-inf"), float("inf"))]
     while stack:
-        u, now, hops, arrivals = stack.pop()
-        yield TemporalWalk(source, t0, hops, arrivals)
+        state = stack.pop()
+        yield state
+        u, hops, arrivals, max_start, min_end = state
         if len(hops) >= max_hops:
             continue
-        pushed: list[tuple[int, Tick, tuple[tuple[str, str], ...], tuple[Tick, ...]]] = []
+        now = arrivals[-1] if arrivals else t0
+        pushed: list[_WalkState] = []
         for ei in children(u):
             if ends[ei] < now:
                 continue
             arr = now if now >= starts[ei] else starts[ei]
             eid = h.edges[ei].id
+            hi = max_start if max_start >= starts[ei] else starts[ei]
+            lo = min_end if min_end <= ends[ei] else ends[ei]
             for v in members[ei]:
                 if v == u:
                     continue
-                pushed.append((v, arr, hops + ((eid, ids[v]),), arrivals + (arr,)))
+                pushed.append((v, hops + ((eid, ids[v]),), arrivals + (arr,), hi, lo))
         stack.extend(reversed(pushed))
-
-
-def _optimal_departure(max_start: Tick, min_end: Tick, t0: Tick) -> Tick:
-    """Smallest departure >= t0 minimizing a walk's duration.
-
-    At departure ``tau`` the walk arrives at ``max(tau, max_start)`` and
-    stays feasible while ``tau <= min_end``; duration is non-increasing
-    in ``tau``, so the optimum duration is ``max(0, max_start - min_end)``.
-    """
-    if max_start < t0:
-        return t0
-    if max_start <= min_end:
-        return max_start
-    return min_end
-
-
-def _at_departure(h: TimeVaryingHypergraph, walk: TemporalWalk, tau: Tick) -> TemporalWalk:
-    """The same hop sequence re-timed to depart at ``tau``."""
-    arrivals = []
-    now = tau
-    for edge_id, _ in walk.hops:
-        e = h.edge_by_id(edge_id)
-        now = now if now >= e.start else e.start
-        arrivals.append(now)
-    return TemporalWalk(walk.source, tau, walk.hops, tuple(arrivals))
 
 
 def oracle_distances(
@@ -132,29 +120,28 @@ def oracle_distances(
     w_hops: dict[str, TemporalWalk] = {}
     w_dur: dict[str, TemporalWalk] = {}
 
-    window = {e.id: (e.start, e.end) for e in h.edges}
+    ids = h.vertex_ids
     inf = float("inf")
 
-    for walk in enumerate_walks(h, source, t0, max_hops):
-        v = walk.terminus
-        arr = walk.arrival
+    for u, walk_hops, arrivals, max_start, min_end in _walk_states(h, source, t0, max_hops):
+        v = ids[u]
+        arr = arrivals[-1] if arrivals else t0
         if arr < foremost.get(v, inf):
             foremost[v] = arr
-            w_fore[v] = walk
-        k = walk.hop_count
+            w_fore[v] = TemporalWalk(source, t0, walk_hops, arrivals)
+        k = len(walk_hops)
         if k < hops.get(v, inf):
             hops[v] = k
-            w_hops[v] = walk
-        if walk.hops:
-            max_start = max(window[e][0] for e, _ in walk.hops)
-            min_end = min(window[e][1] for e, _ in walk.hops)
-            tau = _optimal_departure(max_start, min_end, t0)
-            dur = max_start - tau if max_start > tau else 0
-        else:
-            dur, tau = 0, t0
+            w_hops[v] = TemporalWalk(source, t0, walk_hops, arrivals)
+        # departing at tau arrives at max(tau, max start) while tau <= min end,
+        # so min(max start, min end) is the best departure unless max start
+        # < t0; re-timed to tau, each arrival becomes max(tau, arrival)
+        tau = t0 if max_start < t0 else min(max_start, min_end)
+        dur = max_start - tau if max_start > tau else 0
         if dur < duration.get(v, inf):
             duration[v] = dur
-            w_dur[v] = _at_departure(h, walk, tau)
+            retimed = tuple(a if a >= tau else tau for a in arrivals)
+            w_dur[v] = TemporalWalk(source, tau, walk_hops, retimed)
 
     return OracleResult(
         source=source,

@@ -21,9 +21,10 @@ Three notions of minimal distance from a source:
   all departures ``tau >= t0``. For a fixed walk the arrival equals
   ``max(tau, latest edge start)`` and feasibility caps ``tau`` at the
   walk's earliest edge end, so the optimum departure of any walk is the
-  minimum end over its edges. Running foremost once per candidate in
-  ``{t0} union {end(e) >= t0 for every edge e}`` and folding
-  ``arrival - tau`` is exact.
+  minimum end over its edges, and ``{t0} union {end(e) >= t0}`` covers
+  every optimum. A walk feasible from ``tau'`` stays feasible from any
+  ``tau < tau'`` and arrives no later, so one descending sweep over those
+  candidates carries its earliest-arrival labels across departures.
 
 Unreached vertices are absent from the label maps; there are no sentinel
 values anywhere.
@@ -313,9 +314,7 @@ def fastest_departure_candidates(h: TimeVaryingHypergraph, t0: Tick) -> list[Tic
     some edge's end tick, so edge ends (clamped to ``>= t0``) plus ``t0``
     itself cover every optimum.
     """
-    cands = {end for end in h.edge_ends if end >= t0}
-    cands.add(t0)
-    return sorted(cands, reverse=True)
+    return sorted({end for end in h.edge_ends if end >= t0} | {t0}, reverse=True)
 
 
 def fastest(
@@ -327,61 +326,74 @@ def fastest(
 ) -> DistanceLabels:
     """Minimum duration (arrival minus departure) over departures ``>= t0``.
 
-    One earliest-arrival sweep per candidate departure, folded with strict
-    improvement; the first run (largest departure) attaining a vertex's
-    optimum supplies its witness walk, so witnesses form a forest.
+    One sweep over the candidate departures within the horizon, largest
+    first. Arrival labels, predecessors and each edge's last delivery carry
+    from one departure to the next, and each departure re-expands only the
+    vertices whose arrival strictly drops. The first (largest) departure
+    attaining a vertex's optimum supplies its witness walk.
     """
     src = h.index_of(source)
     ids = h.vertex_ids
+    starts = h.edge_starts
+    ends = h.edge_ends
+    members = h.edge_members
+    incidence = h.incidence
 
+    arrival: list[float] = [float("inf")] * len(ids)
+    delivered: list[float] = [float("inf")] * len(h.edges)
+    pred: list[tuple[int, int] | None] = [None] * len(ids)
     best: dict[int, Tick] = {}
     witness: dict[int, TemporalWalk] = {}
+    last_hop: dict[int, tuple[str, str]] = {}
     for tau in fastest_departure_candidates(h, t0):
-        arrival, pred = _foremost_core(h, src, tau, horizon, keep_predecessors)
-        for v, a in arrival.items():
-            dur = a - tau
-            known = best.get(v)
-            if known is None or dur < known:
-                best[v] = dur
-                if keep_predecessors:
-                    witness[v] = _replay_chain(h, source, tau, arrival, pred, v)
+        # t0 always runs, so the source is labelled even under a horizon < t0
+        if horizon is not None and tau > horizon and tau != t0:
+            continue
+        arrival[src] = tau
+        improved: list[int] = []
+        heap: list[tuple[Tick, int]] = [(tau, src)]
+        while heap:
+            a_u, u = heappop(heap)
+            if a_u > arrival[u]:
+                continue
+            improved.append(u)
+            for ei in incidence[u]:
+                arr = a_u if a_u >= starts[ei] else starts[ei]
+                # members already hold arrivals no later than the last delivery
+                if ends[ei] < a_u or arr >= delivered[ei]:
+                    continue
+                delivered[ei] = arr
+                if horizon is not None and arr > horizon:
+                    continue
+                for v in members[ei]:
+                    if arr < arrival[v]:
+                        arrival[v] = arr
+                        pred[v] = (ei, u)
+                        heappush(heap, (arr, v))
+        # a vertex not improved kept its arrival, so its duration only grew
+        for v in improved:
+            if v in best and arrival[v] - tau >= best[v]:
+                continue
+            best[v] = arrival[v] - tau
+            if keep_predecessors:
+                # links stay tight (an earlier arrival at a link's tail
+                # re-relaxes its edge), so carried arrivals replay from tau
+                chain, w = [], v
+                while pred[w] is not None:
+                    chain.append(w)
+                    w = pred[w][1]
+                chain.reverse()
+                hops = tuple((h.edges[pred[w][0]].id, ids[w]) for w in chain)
+                witness[v] = TemporalWalk(source, tau, hops, tuple(arrival[w] for w in chain))
+                if hops:
+                    last_hop[v] = (hops[-1][0], ids[pred[v][1]])
 
     values = {ids[v]: d for v, d in sorted(best.items())}
-    predecessors = None
-    witnesses = None
-    if keep_predecessors:
-        witnesses = {}
-        predecessors = {}
-        for v in sorted(best):
-            walk = witness[v]
-            witnesses[ids[v]] = walk
-            if walk.hops:
-                prior = walk.hops[-2][1] if len(walk.hops) >= 2 else source
-                predecessors[ids[v]] = (walk.hops[-1][0], prior)
+    if not keep_predecessors:
+        return DistanceLabels(source, t0, Metric.FASTEST, values, None)
+    predecessors = {ids[v]: p for v, p in sorted(last_hop.items())}
+    witnesses = {ids[v]: w for v, w in sorted(witness.items())}
     return DistanceLabels(source, t0, Metric.FASTEST, values, predecessors, witnesses)
-
-
-def _replay_chain(
-    h: TimeVaryingHypergraph,
-    source: str,
-    departure: Tick,
-    arrival: dict[int, Tick],
-    pred: dict[int, tuple[int, int]],
-    v: int,
-) -> TemporalWalk:
-    """Walk the predecessor chain of one earliest-arrival run."""
-    rev: list[tuple[str, str, Tick]] = []
-    while v in pred:
-        ei, u = pred[v]
-        rev.append((h.edges[ei].id, h.vertex_ids[v], arrival[v]))
-        v = u
-    rev.reverse()
-    return TemporalWalk(
-        source,
-        departure,
-        tuple((e, w) for e, w, _ in rev),
-        tuple(a for _, _, a in rev),
-    )
 
 
 # --------------------------------------------------------------------------

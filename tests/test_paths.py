@@ -1,11 +1,13 @@
 import pytest
 
 from thd import (
+    GenParams,
     TemporalWalk,
     build_hypergraph,
     fastest,
     foremost,
     gen_desk_instance,
+    gen_random,
     hyperedge,
     reconstruct_walk,
     shortest,
@@ -19,6 +21,7 @@ from thd.errors import (
     Unreached,
     UnknownVertex,
 )
+from thd.paths import fastest_departure_candidates
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -138,6 +141,20 @@ def test_fastest_departure_bounded_by_middle_edge():
     walk = reconstruct_walk(labels, "v")
     validate_walk(h, walk)
     assert walk.duration == 45
+
+
+def test_fastest_skips_departures_past_horizon():
+    h = build_hypergraph(
+        [hyperedge("e1", ["a", "b"], 0, 3), hyperedge("e2", ["b", "c"], 50, 100)]
+    )
+    assert fastest_departure_candidates(h, 0) == [100, 3, 0]
+    labels = fastest(h, "a", 0, horizon=10)
+    assert dict(labels.values) == {"a": 0, "b": 0}
+    # the source's empty walk departs at the largest candidate within the horizon
+    assert labels.witnesses["a"] == TemporalWalk("a", 3, (), ())
+    for walk in labels.witnesses.values():
+        validate_walk(h, walk)
+        assert walk.arrival <= 10
 
 
 def test_horizon_prunes_labels(g1):
@@ -291,3 +308,39 @@ def test_layering_stabilizes_seeded():
         full = dict(shortest(h, source, 0, h.vertex_count, keep_predecessors=False).values)
         beyond = dict(shortest(h, source, 0, h.vertex_count + 5, keep_predecessors=False).values)
         assert full == beyond
+
+
+def _fastest_reference(h, source, t0, horizon):
+    """Fastest by definition: the best foremost run over every candidate departure."""
+    best: dict = {}
+    for tau in fastest_departure_candidates(h, t0):
+        if horizon is not None and tau > horizon:
+            continue
+        for v, a in foremost(h, source, tau, horizon, keep_predecessors=False).values.items():
+            best[v] = min(best.get(v, a - tau), a - tau)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fastest_matches_per_departure_reference_seeded(seed):
+    h = gen_random(GenParams(vertex_count=30, edge_count=80, span=200, max_length=30, seed=seed))
+    for source in h.vertex_ids[::6]:
+        for t0, horizon in ((17, None), (17, 120), (60, 60), (60, 90)):
+            labels = fastest(h, source, t0, horizon)
+            assert dict(labels.values) == _fastest_reference(h, source, t0, horizon)
+            for target, walk in labels.witnesses.items():
+                validate_walk(h, walk)
+                assert walk.terminus == target
+                assert walk.departure >= t0
+                assert walk_metric_value(walk, labels.metric) == labels.values[target]
+                if horizon is not None:
+                    assert walk.departure <= horizon and walk.arrival <= horizon
+
+
+def test_fastest_departure_candidates_contract():
+    for seed in range(30):
+        h = gen_desk_instance(seed)
+        for t0 in (0, 5, 25):
+            cands = fastest_departure_candidates(h, t0)
+            assert cands == sorted(set(cands), reverse=True)
+            assert set(cands) == {t0} | {end for end in h.edge_ends if end >= t0}
