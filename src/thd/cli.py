@@ -9,7 +9,7 @@ oracle), ``bench`` (throughput and memory report).
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal
 invariant violation, 4 target unreached (query). Every subcommand is
 deterministic for a fixed ``--seed``. ``THD_THREADS`` overrides the
-default parallelism for ``simulate``.
+default parallelism for ``simulate`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,10 @@ def _metric(value: str) -> Metric:
         ) from None
 
 
-def _default_threads() -> int:
+def _parallelism(requested: int | None) -> int:
+    """``--parallel`` when given, else ``THD_THREADS``, else 1."""
+    if requested is not None:
+        return requested
     raw = os.environ.get("THD_THREADS", "")
     if raw.strip():
         try:
@@ -115,7 +118,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     if metric is Metric.FOREMOST:
         labels = foremost(h, args.source, args.t0)
     elif metric is Metric.SHORTEST:
-        labels = shortest(h, args.source, args.t0, args.max_hops or h.vertex_count)
+        max_hops = h.vertex_count if args.max_hops is None else args.max_hops
+        labels = shortest(h, args.source, args.t0, max_hops)
     else:
         labels = fastest(h, args.source, args.t0)
     if args.target not in labels.values:
@@ -158,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_hops=args.max_hops,
         horizon=args.horizon,
         keep_predecessors=args.keep_predecessors,
-        parallelism=args.parallel,
+        parallelism=_parallelism(args.parallel),
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
     )
@@ -241,7 +245,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         metrics=(args.metric,),
         sample_size=min(args.sources, h.vertex_count),
         sample_seed=args.seed,
-        parallelism=args.parallel,
+        parallelism=_parallelism(args.parallel),
     )
     result = run(h, plan)
     t_done = time.perf_counter()
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-hops", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--keep-predecessors", action="store_true")
-    p.add_argument("--parallel", type=int, default=_default_threads())
+    p.add_argument("--parallel", type=int, default=None, help="default: THD_THREADS or 1")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-interval", type=int, default=25)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-participants", type=int, default=4)
     p.add_argument("--span", type=int, default=100_000)
     p.add_argument("--max-length", type=int, default=5_000)
-    p.add_argument("--parallel", type=int, default=_default_threads())
+    p.add_argument("--parallel", type=int, default=None, help="default: THD_THREADS or 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

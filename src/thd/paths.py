@@ -9,9 +9,11 @@ non-decreasing along a walk, and waiting on a vertex is free.
 Three notions of minimal distance from a source:
 
 * foremost - earliest possible arrival tick at each vertex, departing at
-  ``t0``. Computed by a label-setting generalization of Dijkstra: vertices
-  settle in arrival order and every hyperedge needs relaxing at most once,
-  because later settlements can only produce later candidate arrivals.
+  ``t0``. Foremost and fastest share one earliest-arrival kernel, a
+  label-setting generalization of Dijkstra run over descending departures:
+  foremost is its single-departure case, where vertices settle in arrival
+  order and every hyperedge is relaxed at most once, because later
+  settlements can only produce later candidate arrivals.
 * shortest - fewest hops, over walks that are temporally feasible from
   ``t0``. Computed by hop-layered dynamic programming where each layer
   keeps only the earliest arrival per vertex; an earlier arrival never
@@ -23,11 +25,12 @@ Three notions of minimal distance from a source:
   walk's earliest edge end, so the optimum departure of any walk is the
   minimum end over its edges, and ``{t0} union {end(e) >= t0}`` covers
   every optimum. A walk feasible from ``tau'`` stays feasible from any
-  ``tau < tau'`` and arrives no later, so one descending sweep over those
-  candidates carries its earliest-arrival labels across departures.
+  ``tau < tau'`` and arrives no later, so the kernel's descending sweep
+  over those candidates carries its earliest-arrival labels across
+  departures.
 
-Unreached vertices are absent from the label maps; there are no sentinel
-values anywhere.
+Unreached vertices are absent from the label maps; the sentinels of the
+kernel's internal arrays never reach them.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .core import Tick, TimeVaryingHypergraph
+from .core import MAX_TICK, MIN_TICK, Tick, TimeVaryingHypergraph
 from .errors import InfeasibleWalk, NonPositiveMaxHops, PathsError, Unreached
 
 
@@ -105,65 +108,80 @@ class DistanceLabels:
 
 
 # --------------------------------------------------------------------------
-# foremost
+# earliest arrival: foremost and fastest
 # --------------------------------------------------------------------------
 
+NEVER: Tick = MAX_TICK + 1  # no arrival, or no delivery over an edge, yet
+SPENT: Tick = MIN_TICK - 1  # the edge delivered at its own start: never earlier
 
-def _foremost_core(
+
+def _earliest_arrivals(
     h: TimeVaryingHypergraph,
     src: int,
-    t0: Tick,
+    departures: Iterable[Tick],
     horizon: Tick | None,
-    keep_pred: bool,
-) -> tuple[dict[int, Tick], dict[int, tuple[int, int]]]:
-    """Label-setting earliest-arrival search over vertex indices.
+) -> Iterator[tuple[Tick, list[int], list[Tick], list[tuple[int, int] | None]]]:
+    """Earliest arrivals from ``src`` over strictly descending departures.
 
-    Returns ``(arrival, pred)`` keyed by dense vertex index; ``pred[v]``
-    is ``(edge index, prior vertex index)`` and is empty unless
-    ``keep_pred``. Each hyperedge is relaxed at most once: the first
-    feasible relaxation happens at the smallest settled arrival among its
-    participants, which minimizes ``max(arrival, start)`` for everyone.
+    After each departure ``tau`` yields ``(tau, improved, arrival, pred)``:
+    the vertex indices whose arrival strictly dropped at ``tau`` (the
+    source included), in expansion order, and the arrival tick and last
+    hop ``(edge index, prior vertex index)`` of every vertex, shared and
+    carried from one departure to the next. Unreached vertices hold
+    ``NEVER`` and no predecessor.
+
+    Each departure is a label-setting heap pass that expands only the
+    vertices it improves. An edge is relaxed only when it would deliver
+    strictly earlier than it last did, so at a single departure every edge
+    is relaxed at most once. On an equal arrival the smallest ``(edge id,
+    prior id)`` becomes the predecessor. Only vertices not yet expanded at
+    ``tau`` can tie, apart from ``u`` itself: once a vertex is expanded,
+    each of its edges has delivered no later than its arrival, or closed,
+    and later expansions arrive no earlier. So no chain passes through a
+    descendant.
     """
+    ids = h.vertex_ids
+    edges = h.edges
     starts = h.edge_starts
     ends = h.edge_ends
     members = h.edge_members
     incidence = h.incidence
+    limit = MAX_TICK if horizon is None else horizon
 
-    arrival: dict[int, Tick] = {src: t0}
-    pred: dict[int, tuple[int, int]] = {}
-    settled = bytearray(len(h.vertex_ids))
-    edge_done = bytearray(len(h.edges))
-
-    heap: list[tuple[Tick, int]] = [(t0, src)]
-    while heap:
-        a_u, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        for ei in incidence[u]:
-            if edge_done[ei] or ends[ei] < a_u:
+    arrival: list[Tick] = [NEVER] * len(ids)
+    pred: list[tuple[int, int] | None] = [None] * len(ids)
+    # what each edge delivered last: its members already arrive no later
+    delivered: list[Tick] = [NEVER] * len(edges)
+    for tau in departures:
+        arrival[src] = tau
+        improved: list[int] = []
+        heap: list[tuple[Tick, int]] = [(tau, src)]
+        while heap:
+            a_u, u = heappop(heap)
+            if a_u > arrival[u]:
                 continue
-            edge_done[ei] = 1
-            arr = a_u if a_u >= starts[ei] else starts[ei]
-            if horizon is not None and arr > horizon:
-                continue
-            for v in members[ei]:
-                if v == u or settled[v]:
+            improved.append(u)
+            for ei in incidence[u]:
+                if delivered[ei] <= a_u or ends[ei] < a_u:
                     continue
-                known = arrival.get(v)
-                if known is None or arr < known:
-                    arrival[v] = arr
-                    if keep_pred:
+                if a_u > starts[ei]:
+                    arr = delivered[ei] = a_u
+                else:
+                    arr = starts[ei]
+                    delivered[ei] = SPENT
+                if arr > limit:
+                    continue
+                for v in members[ei]:
+                    a_v = arrival[v]
+                    if arr < a_v:
+                        arrival[v] = arr
                         pred[v] = (ei, u)
-                    heappush(heap, (arr, v))
-                elif keep_pred and arr == known:
-                    # deterministic tie-break: smallest (edge id, prior id)
-                    cur = pred.get(v)
-                    if cur is not None:
-                        cand = (h.edges[ei].id, h.vertex_ids[u])
-                        if cand < (h.edges[cur[0]].id, h.vertex_ids[cur[1]]):
+                        heappush(heap, (arr, v))
+                    elif arr == a_v and v != u:
+                        e0, u0 = pred[v]
+                        if (edges[ei].id, ids[u]) < (edges[e0].id, ids[u0]):
                             pred[v] = (ei, u)
-    return arrival, pred
+        yield tau, improved, arrival, pred
 
 
 def foremost(
@@ -175,19 +193,85 @@ def foremost(
 ) -> DistanceLabels:
     """Earliest arrival tick at every reachable vertex, departing at ``t0``.
 
-    With a ``horizon``, arrivals beyond it are discarded entirely. Raises
-    UnknownVertex if the source is not in the hypergraph.
+    The earliest-arrival kernel run at the single departure ``t0``: every
+    reached vertex is improved there. With a ``horizon``, arrivals beyond
+    it are discarded entirely. Raises UnknownVertex if the source is not in
+    the hypergraph.
     """
     src = h.index_of(source)
-    arrival, pred = _foremost_core(h, src, t0, horizon, keep_predecessors)
+    _, reached, arrival, pred = next(_earliest_arrivals(h, src, (t0,), horizon))
+    reached.sort()
     ids = h.vertex_ids
-    values = {ids[v]: a for v, a in sorted(arrival.items())}
+    values = {ids[v]: arrival[v] for v in reached}
     predecessors = None
     if keep_predecessors:
+        edges = h.edges
         predecessors = {
-            ids[v]: (h.edges[ei].id, ids[u]) for v, (ei, u) in sorted(pred.items())
+            ids[v]: (edges[pred[v][0]].id, ids[pred[v][1]]) for v in reached if v != src
         }
     return DistanceLabels(source, t0, Metric.FOREMOST, values, predecessors)
+
+
+def fastest_departure_candidates(h: TimeVaryingHypergraph, t0: Tick) -> list[Tick]:
+    """Departure ticks that can be optimal for some walk, descending.
+
+    A walk's duration is non-increasing in its departure until the
+    departure passes the walk's earliest edge end; that bound is always
+    some edge's end tick, so edge ends (clamped to ``>= t0``) plus ``t0``
+    itself cover every optimum.
+    """
+    return sorted({end for end in h.edge_ends if end >= t0} | {t0}, reverse=True)
+
+
+def fastest(
+    h: TimeVaryingHypergraph,
+    source: str,
+    t0: Tick,
+    horizon: Tick | None = None,
+    keep_predecessors: bool = True,
+) -> DistanceLabels:
+    """Minimum duration (arrival minus departure) over departures ``>= t0``.
+
+    The earliest-arrival kernel swept over the candidate departures within
+    the horizon, largest first: labels carry from one departure to the
+    next, and only the vertices improved at a departure can improve their
+    duration there. The first (largest) departure attaining a vertex's
+    optimum supplies its witness walk.
+    """
+    src = h.index_of(source)
+    ids = h.vertex_ids
+    departures = fastest_departure_candidates(h, t0)
+    if horizon is not None:
+        # t0 always runs, so the source is labelled even under a horizon < t0
+        departures = [tau for tau in departures if tau <= max(horizon, t0)]
+    best: dict[int, Tick] = {}
+    witness: dict[int, TemporalWalk] = {}
+    last_hop: dict[int, tuple[str, str]] = {}
+    for tau, improved, arrival, pred in _earliest_arrivals(h, src, departures, horizon):
+        # a vertex not improved kept its arrival, so its duration only grew
+        for v in improved:
+            if v in best and arrival[v] - tau >= best[v]:
+                continue
+            best[v] = arrival[v] - tau
+            if keep_predecessors:
+                # links stay tight (an earlier arrival at a link's tail
+                # re-relaxes its edge), so carried arrivals replay from tau
+                chain, w = [], v
+                while pred[w] is not None:
+                    chain.append(w)
+                    w = pred[w][1]
+                chain.reverse()
+                hops = tuple((h.edges[pred[w][0]].id, ids[w]) for w in chain)
+                witness[v] = TemporalWalk(source, tau, hops, tuple(arrival[w] for w in chain))
+                if hops:
+                    last_hop[v] = (hops[-1][0], ids[pred[v][1]])
+
+    values = {ids[v]: d for v, d in sorted(best.items())}
+    if not keep_predecessors:
+        return DistanceLabels(source, t0, Metric.FASTEST, values, None)
+    predecessors = {ids[v]: p for v, p in sorted(last_hop.items())}
+    witnesses = {ids[v]: w for v, w in sorted(witness.items())}
+    return DistanceLabels(source, t0, Metric.FASTEST, values, predecessors, witnesses)
 
 
 # --------------------------------------------------------------------------
@@ -299,101 +383,6 @@ def shortest(
             prior = rev[-2][1] if len(rev) >= 2 else source
             predecessors[ids[v]] = (rev[-1][0], prior)
     return DistanceLabels(source, t0, Metric.SHORTEST, values, predecessors, witnesses)
-
-
-# --------------------------------------------------------------------------
-# fastest
-# --------------------------------------------------------------------------
-
-
-def fastest_departure_candidates(h: TimeVaryingHypergraph, t0: Tick) -> list[Tick]:
-    """Departure ticks that can be optimal for some walk, descending.
-
-    A walk's duration is non-increasing in its departure until the
-    departure passes the walk's earliest edge end; that bound is always
-    some edge's end tick, so edge ends (clamped to ``>= t0``) plus ``t0``
-    itself cover every optimum.
-    """
-    return sorted({end for end in h.edge_ends if end >= t0} | {t0}, reverse=True)
-
-
-def fastest(
-    h: TimeVaryingHypergraph,
-    source: str,
-    t0: Tick,
-    horizon: Tick | None = None,
-    keep_predecessors: bool = True,
-) -> DistanceLabels:
-    """Minimum duration (arrival minus departure) over departures ``>= t0``.
-
-    One sweep over the candidate departures within the horizon, largest
-    first. Arrival labels, predecessors and each edge's last delivery carry
-    from one departure to the next, and each departure re-expands only the
-    vertices whose arrival strictly drops. The first (largest) departure
-    attaining a vertex's optimum supplies its witness walk.
-    """
-    src = h.index_of(source)
-    ids = h.vertex_ids
-    starts = h.edge_starts
-    ends = h.edge_ends
-    members = h.edge_members
-    incidence = h.incidence
-
-    arrival: list[float] = [float("inf")] * len(ids)
-    delivered: list[float] = [float("inf")] * len(h.edges)
-    pred: list[tuple[int, int] | None] = [None] * len(ids)
-    best: dict[int, Tick] = {}
-    witness: dict[int, TemporalWalk] = {}
-    last_hop: dict[int, tuple[str, str]] = {}
-    for tau in fastest_departure_candidates(h, t0):
-        # t0 always runs, so the source is labelled even under a horizon < t0
-        if horizon is not None and tau > horizon and tau != t0:
-            continue
-        arrival[src] = tau
-        improved: list[int] = []
-        heap: list[tuple[Tick, int]] = [(tau, src)]
-        while heap:
-            a_u, u = heappop(heap)
-            if a_u > arrival[u]:
-                continue
-            improved.append(u)
-            for ei in incidence[u]:
-                arr = a_u if a_u >= starts[ei] else starts[ei]
-                # members already hold arrivals no later than the last delivery
-                if ends[ei] < a_u or arr >= delivered[ei]:
-                    continue
-                delivered[ei] = arr
-                if horizon is not None and arr > horizon:
-                    continue
-                for v in members[ei]:
-                    if arr < arrival[v]:
-                        arrival[v] = arr
-                        pred[v] = (ei, u)
-                        heappush(heap, (arr, v))
-        # a vertex not improved kept its arrival, so its duration only grew
-        for v in improved:
-            if v in best and arrival[v] - tau >= best[v]:
-                continue
-            best[v] = arrival[v] - tau
-            if keep_predecessors:
-                # links stay tight (an earlier arrival at a link's tail
-                # re-relaxes its edge), so carried arrivals replay from tau
-                chain, w = [], v
-                while pred[w] is not None:
-                    chain.append(w)
-                    w = pred[w][1]
-                chain.reverse()
-                hops = tuple((h.edges[pred[w][0]].id, ids[w]) for w in chain)
-                witness[v] = TemporalWalk(source, tau, hops, tuple(arrival[w] for w in chain))
-                if hops:
-                    last_hop[v] = (hops[-1][0], ids[pred[v][1]])
-
-    values = {ids[v]: d for v, d in sorted(best.items())}
-    if not keep_predecessors:
-        return DistanceLabels(source, t0, Metric.FASTEST, values, None)
-    predecessors = {ids[v]: p for v, p in sorted(last_hop.items())}
-    witnesses = {ids[v]: w for v, w in sorted(witness.items())}
-    return DistanceLabels(source, t0, Metric.FASTEST, values, predecessors, witnesses)
 
 
 # --------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_query_json(g1_file, capsys):
     assert doc["walk"]["departure"] == 4
 
 
+def test_query_zero_max_hops_rejected(g1_file, capsys):
+    # 0 is a hop budget, not "no limit"
+    assert main(
+        ["query", g1_file, "--source", "a", "--target", "b", "--metric", "shortest", "--max-hops", "0"]
+    ) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_query_unknown_metric_is_usage_error(g1_file):
     with pytest.raises(SystemExit) as exc:
         main(["query", g1_file, "--source", "a", "--target", "b", "--metric", "quickest"])
@@ -151,6 +159,14 @@ def test_thd_threads_env_sets_default(g1_file, tmp_path, monkeypatch):
     out2 = tmp_path / "r2.json"
     assert main(["simulate", g1_file, "-o", str(out2), "--t0", "0"]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_invalid_thd_threads_warns_once_where_used(g1_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THD_THREADS", "bogus")
+    assert main(["gen", "-o", str(tmp_path / "net.json"), "--vertices", "10", "--edges", "20"]) == 0
+    assert "THD_THREADS" not in capsys.readouterr().err
+    assert main(["simulate", g1_file, "-o", str(tmp_path / "r.json"), "--t0", "0"]) == 0
+    assert capsys.readouterr().err.count("warning: ignoring invalid THD_THREADS='bogus'") == 1
 
 
 def test_gen_random_then_validate(tmp_path, capsys):

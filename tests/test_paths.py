@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from thd import (
@@ -157,6 +160,48 @@ def test_fastest_skips_departures_past_horizon():
         assert walk.arrival <= 10
 
 
+def test_equal_arrival_keeps_smallest_edge_then_prior():
+    # v is reached at 5 from p over "b" (expanded first) and from q over "a"
+    h = build_hypergraph(
+        [
+            hyperedge("x1", ["s", "p"], 1, 9),
+            hyperedge("x2", ["s", "q"], 1, 9),
+            hyperedge("b", ["p", "v"], 5, 5),
+            hyperedge("a", ["q", "v"], 5, 5),
+        ]
+    )
+    labels = foremost(h, "s", 0)
+    assert labels.values["v"] == 5
+    assert labels.predecessors["v"] == ("a", "q")
+    labels = fastest(h, "s", 0)
+    assert labels.values["v"] == 0
+    assert labels.predecessors["v"] == ("a", "q")
+    assert labels.witnesses["v"] == TemporalWalk("s", 5, (("x2", "q"), ("a", "v")), (5, 5))
+
+
+# sha256 of foremost values and predecessors from the dedicated foremost
+# loop at commit 71950a9, before foremost ran on the shared kernel
+FOREMOST_DIGEST = "3bc95bdecd11b091b32286a9feff655bc669ca8c24a6bdce3a29b715e84c4c26"
+
+
+def test_foremost_matches_pinned_digest_seeded():
+    instances = [gen_desk_instance(seed) for seed in range(60)]
+    instances += [
+        gen_random(GenParams(vertex_count=60, edge_count=200, span=200, max_length=30, seed=seed))
+        for seed in range(3)
+    ]
+    digest = hashlib.sha256()
+    for h in instances:
+        for source in h.vertex_ids[:20]:
+            for t0, horizon in ((3, None), (3, 12), (17, None), (17, 60)):
+                labels = foremost(h, source, t0, horizon)
+                doc = [labels.values, labels.predecessors]
+                digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+                values_only = foremost(h, source, t0, horizon, keep_predecessors=False)
+                assert values_only.values == labels.values
+    assert digest.hexdigest() == FOREMOST_DIGEST
+
+
 def test_horizon_prunes_labels(g1):
     assert dict(foremost(g1, "a", 0, horizon=3).values) == {"a": 0, "b": 1, "c": 2}
     assert dict(shortest(g1, "a", 0, 10, horizon=3).values) == {"a": 0, "b": 1, "c": 2}
@@ -213,6 +258,16 @@ def test_reconstructed_walks_attain_labels(g1, g2):
                     assert walk_metric_value(walk, labels.metric) == labels.values[target]
 
 
+def _assert_chain_reaches_source(labels, target):
+    seen = set()
+    v = target
+    while v != labels.source:
+        assert v not in seen, "predecessor chain cycled"
+        seen.add(v)
+        assert len(seen) <= len(labels.values)
+        edge_id, v = labels.predecessors[v]
+
+
 def test_predecessor_chains_terminate_at_source():
     for seed in range(40):
         h = gen_desk_instance(seed)
@@ -223,13 +278,7 @@ def test_predecessor_chains_terminate_at_source():
             fastest(h, source, 0),
         ):
             for target in labels.values:
-                seen = set()
-                v = target
-                while v != source:
-                    assert v not in seen, "predecessor chain cycled"
-                    seen.add(v)
-                    assert len(seen) <= len(labels.values)
-                    edge_id, v = labels.predecessors[v]
+                _assert_chain_reaches_source(labels, target)
 
 
 # --- walk validation --------------------------------------------------------
@@ -329,6 +378,7 @@ def test_fastest_matches_per_departure_reference_seeded(seed):
             labels = fastest(h, source, t0, horizon)
             assert dict(labels.values) == _fastest_reference(h, source, t0, horizon)
             for target, walk in labels.witnesses.items():
+                _assert_chain_reaches_source(labels, target)
                 validate_walk(h, walk)
                 assert walk.terminus == target
                 assert walk.departure >= t0
