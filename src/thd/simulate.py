@@ -3,8 +3,10 @@
 Work is partitioned per source (embarrassingly parallel); the hypergraph
 is shared read-only and per-source results are merged in source-id order,
 so serialized output is byte-identical for any parallelism degree. Long
-runs flush completed sources to an atomic checkpoint file bound to the
-exact input and plan by digest; a resumed run reuses completed sources
+runs append completed sources to a checkpoint log bound to the exact
+input and plan by digest. Each record carries its own hash, so a flush
+writes only the sources completed since the last one, and a record torn
+by a crash is dropped on resume. A resumed run reuses completed sources
 verbatim and refuses to mix anything else.
 """
 
@@ -37,7 +39,7 @@ from .paths import (
 
 log = logging.getLogger("thd.simulate")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -264,58 +266,84 @@ def checkpoint_write(
     p_digest: str,
     docs: Mapping[str, dict],
 ) -> None:
-    """Atomically persist completed source documents (temp file + rename)."""
-    body = b"".join(
-        canonical_json_bytes(docs[s]) for s in sorted(docs)
-    )
-    header = {
-        "kind": "thd-checkpoint",
-        "version": CHECKPOINT_VERSION,
-        "input_digest": in_digest,
-        "plan_digest": p_digest,
-        "body_sha256": hashlib.sha256(body).hexdigest(),
-        "sources": len(docs),
-    }
+    """Persist a batch of completed source documents, one hashed record each.
+
+    A record is one line: the SHA-256 hex of its canonical JSON, a space,
+    then that JSON (which ends in the newline). When no file exists at
+    ``path``, the header and the batch go to a temp file that is fsynced
+    and renamed into place, so the file never exists without a record.
+    Otherwise the batch is appended and fsynced; the caller has checked
+    the existing header with ``checkpoint_load``.
+    """
+    records = []
+    for s in sorted(docs):
+        body = canonical_json_bytes(docs[s])
+        records.append(hashlib.sha256(body).hexdigest().encode("ascii") + b" " + body)
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(canonical_json_bytes(header))
-        fh.write(body)
+    fresh = not path.exists()
+    target = path.with_name(path.name + ".tmp") if fresh else path
+    with open(target, "wb" if fresh else "ab") as fh:
+        if fresh:
+            header = {
+                "kind": "thd-checkpoint",
+                "version": CHECKPOINT_VERSION,
+                "input_digest": in_digest,
+                "plan_digest": p_digest,
+            }
+            fh.write(canonical_json_bytes(header))
+        fh.write(b"".join(records))
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    if fresh:
+        os.replace(target, path)
 
 
-def checkpoint_load(path: str | Path) -> tuple[str, str, dict[str, dict]]:
-    """Read a checkpoint; returns (input digest, plan digest, source docs).
+def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, int]:
+    """Parse a checkpoint log.
 
-    Raises CorruptCheckpoint when the file is empty, unparseable, or fails
-    its body hash.
+    Returns (input digest, plan digest, source docs, end offset of the
+    last complete record, file size). Bytes after the last newline are an
+    incomplete record torn by a crash and are left out of the docs.
     """
     raw = Path(path).read_bytes()
     if not raw.strip():
         raise CorruptCheckpoint(f"{path}: empty checkpoint file")
-    head, sep, body = raw.partition(b"\n")
+    pos = raw.find(b"\n") + 1
     try:
-        header = json.loads(head)
+        header = json.loads(raw[:pos])
     except ValueError as exc:
         raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from None
     if not isinstance(header, dict) or header.get("kind") != "thd-checkpoint":
         raise CorruptCheckpoint(f"{path}: not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')!r}")
-    if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
-        raise CorruptCheckpoint(f"{path}: body hash mismatch")
     docs: dict[str, dict] = {}
-    for line in body.splitlines():
-        if not line:
-            continue
+    while (end := raw.find(b"\n", pos) + 1) > 0:
+        digest, _, body = raw[pos:end].partition(b" ")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+            raise CorruptCheckpoint(f"{path}: record hash mismatch at byte {pos}")
         try:
-            doc = json.loads(line)
-            docs[doc["source"]] = doc
+            doc = json.loads(body)
+            source = doc["source"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptCheckpoint(f"{path}: bad record: {exc}") from None
-    return str(header["input_digest"]), str(header["plan_digest"]), docs
+            raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
+        if source in docs:
+            raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
+        docs[source] = doc
+        pos = end
+    return str(header["input_digest"]), str(header["plan_digest"]), docs, pos, len(raw)
+
+
+def checkpoint_load(path: str | Path) -> tuple[str, str, dict[str, dict]]:
+    """Read a checkpoint; returns (input digest, plan digest, source docs).
+
+    An incomplete final record (a torn tail) is dropped. Raises
+    CorruptCheckpoint when the file is empty, has an unreadable or
+    unsupported header, or holds a complete record that fails its hash,
+    does not parse, or repeats a source.
+    """
+    in_digest, p_digest, docs, _, _ = _checkpoint_scan(path)
+    return in_digest, p_digest, docs
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +455,8 @@ def run(
     configured interval and an existing compatible checkpoint short-cuts
     recomputation; an incompatible one raises CheckpointMismatch rather
     than mixing results. Sources are recorded in source-id order whatever
-    the parallelism, so every flush holds a source-order prefix of the run.
+    the parallelism, and each flush appends the sources completed since
+    the previous one, so the log always holds a source-order prefix.
     ``progress`` is invoked once per freshly computed source.
     """
     validate_plan(h, plan)
@@ -437,7 +466,7 @@ def run(
 
     done: dict[str, dict] = {}
     if plan.checkpoint_path and Path(plan.checkpoint_path).exists():
-        ck_in, ck_plan, docs = checkpoint_load(plan.checkpoint_path)
+        ck_in, ck_plan, docs, good_end, size = _checkpoint_scan(plan.checkpoint_path)
         if ck_in != in_digest:
             raise CheckpointMismatch(
                 f"{plan.checkpoint_path}: checkpoint was written for a different input"
@@ -446,19 +475,28 @@ def run(
             raise CheckpointMismatch(
                 f"{plan.checkpoint_path}: checkpoint was written for a different plan"
             )
+        if good_end < size:
+            # later appends must start on a record boundary
+            os.truncate(plan.checkpoint_path, good_end)
+            log.warning(
+                "checkpoint: dropped a torn tail of %d bytes (1 incomplete record)",
+                size - good_end,
+            )
         planned = set(sources)
         done = {s: d for s, d in docs.items() if s in planned}
         log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
 
     todo = [s for s in sources if s not in done]
+    batch: dict[str, dict] = {}
     # closing() shuts the pool down at once when the loop body raises
     with closing(_source_docs(h, plan, todo)) as stream:
         for n, (source, doc) in enumerate(stream, 1):
-            done[source] = doc
+            done[source] = batch[source] = doc
             if progress is not None:
                 progress(source)
             if plan.checkpoint_path and (n % plan.checkpoint_interval == 0 or n == len(todo)):
-                checkpoint_write(plan.checkpoint_path, in_digest, p_digest, done)
+                checkpoint_write(plan.checkpoint_path, in_digest, p_digest, batch)
+                batch = {}
 
     label_docs = tuple(done[s] for s in sources)
     label_sets = [_labels_from_doc(d) for d in label_docs]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 
 import pytest
@@ -44,3 +46,17 @@ def g1():
 @pytest.fixture
 def g2():
     return make_g2()
+
+
+def write_version_1_checkpoint(path):
+    """A whole-file checkpoint in the layout before the append-only log."""
+    body = json.dumps({"metrics": {}, "source": "a", "t0": 0}).encode() + b"\n"
+    header = {
+        "body_sha256": hashlib.sha256(body).hexdigest(),
+        "input_digest": "i",
+        "kind": "thd-checkpoint",
+        "plan_digest": "p",
+        "sources": 1,
+        "version": 1,
+    }
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)

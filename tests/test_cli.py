@@ -7,7 +7,7 @@ import pytest
 from thd import write_network
 from thd.cli import main
 
-from conftest import make_g1
+from conftest import make_g1, write_version_1_checkpoint
 
 
 @pytest.fixture
@@ -149,6 +149,15 @@ def test_simulate_bad_checkpoint_exits_1(g1_file, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["simulate", g1_file, "-o", str(out), "--t0", "0", "--checkpoint", str(ck)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_version_1_checkpoint_exits_1(g1_file, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    write_version_1_checkpoint(ck)
+    out = tmp_path / "r.json"
+    assert main(["simulate", g1_file, "-o", str(out), "--t0", "0", "--checkpoint", str(ck)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "unsupported version 1" in err
 
 
 def test_thd_threads_env_sets_default(g1_file, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -22,6 +23,8 @@ from thd.simulate import (
     nearest_rank,
     plan_digest,
 )
+
+from conftest import write_version_1_checkpoint
 
 FOREMOST_PLAN = SimulationPlan(metrics=(Metric.FOREMOST,), t0=0)
 
@@ -202,6 +205,36 @@ def test_checkpoint_corruption_detected(tmp_path):
         checkpoint_load(path)
 
 
+def _empty_docs(sources):
+    return {s: {"source": s, "t0": 0, "metrics": {}} for s in sources}
+
+
+@pytest.mark.parametrize("record", ["b", "c"])
+def test_checkpoint_corrupt_complete_record_refused(tmp_path, record):
+    path = tmp_path / "ck"
+    checkpoint_write(path, "i", "p", _empty_docs("abc"))
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b'"source":"%s"' % record.encode()) - 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptCheckpoint, match="hash mismatch"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_duplicate_source_refused(tmp_path):
+    path = tmp_path / "ck"
+    checkpoint_write(path, "i", "p", _empty_docs("ab"))
+    checkpoint_write(path, "i", "p", _empty_docs("b"))
+    with pytest.raises(CorruptCheckpoint, match="duplicate"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_version_1_refused(tmp_path):
+    path = tmp_path / "ck"
+    write_version_1_checkpoint(path)
+    with pytest.raises(CorruptCheckpoint, match="unsupported version 1"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_mismatch_refused(tmp_path, g1, g2):
     plan = SimulationPlan(t0=0, checkpoint_path=str(tmp_path / "ck"), checkpoint_interval=1)
     run(g1, plan)
@@ -230,6 +263,65 @@ def test_flushed_sources_independent_of_parallelism(tmp_path, monkeypatch):
         run(h, plan)
     assert len(flushed[0]) == -(-h.vertex_count // 3)
     assert flushed[0] == flushed[1]
+    # each flush carries only the sources completed since the previous one
+    assert [s for batch in flushed[0] for s in batch] == list(h.vertex_ids)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_checkpoint_flushes_only_append(tmp_path, monkeypatch, parallelism):
+    h = small_net(seed=14)
+    ck = tmp_path / "ck"
+    snapshots = []
+    write = simulate.checkpoint_write
+
+    def snapshotting_write(path, *args):
+        write(path, *args)
+        snapshots.append(ck.read_bytes())
+
+    monkeypatch.setattr(simulate, "checkpoint_write", snapshotting_write)
+    run(h, SimulationPlan(
+        t0=0, parallelism=parallelism, checkpoint_path=str(ck), checkpoint_interval=4
+    ))
+    assert len(snapshots) == -(-h.vertex_count // 4)
+    for before, after in zip(snapshots, snapshots[1:]):
+        assert len(after) > len(before) and after.startswith(before)
+    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids)
+    assert len(snapshots[-1].splitlines()) == 1 + h.vertex_count  # header + one record each
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_torn_tail_dropped_and_resume_byte_identical(tmp_path, caplog, parallelism):
+    h = small_net(seed=15)
+    ck = tmp_path / "ck"
+    plan = SimulationPlan(
+        t0=0, parallelism=parallelism, checkpoint_path=str(ck), checkpoint_interval=4
+    )
+    baseline = write_results(run(h, SimulationPlan(t0=0)))
+    run(h, plan)
+    full = ck.read_bytes()
+
+    # cut the log half-way through the record of the 11th source, as a
+    # crash during a flush would leave it
+    kept = 10
+    starts = [i + 1 for i, byte in enumerate(full) if byte == ord("\n")]
+    cut = (starts[kept] + starts[kept + 1]) // 2
+    ck.write_bytes(full[:cut])
+    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids[:kept])
+
+    recomputed = []
+    with caplog.at_level(logging.INFO, logger="thd.simulate"):
+        result = run(h, plan, progress=recomputed.append)
+    assert recomputed == list(h.vertex_ids[kept:])
+    assert write_results(result) == baseline
+    torn = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert torn == [
+        f"checkpoint: dropped a torn tail of {cut - starts[kept]} bytes (1 incomplete record)"
+    ]
+    assert f"checkpoint: {kept} of {h.vertex_count} sources already complete" in caplog.messages
+
+    # the cut record was truncated away, not glued to the next append
+    assert ck.read_bytes() == full
+    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
