@@ -4,12 +4,12 @@ Subcommands: ``validate`` (parse and report stats), ``query`` (one
 source/target distance with its witness walk), ``simulate`` (all-sources
 diffusion to a result file), ``gen`` (synthetic networks), ``verify``
 (differential check of the path algorithms against the brute-force
-oracle), ``bench`` (throughput and memory report).
+oracle).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal
 invariant violation, 4 target unreached (query). Every subcommand is
 deterministic for a fixed ``--seed``. ``THD_THREADS`` overrides the
-default parallelism for ``simulate`` and ``bench``.
+default parallelism for ``simulate``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import argparse
 import json
 import logging
 import os
-import resource
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -29,8 +27,8 @@ from .errors import ThdError, Unreached
 from .gen import GenParams, gen_desk_instance, gen_random, gen_structured
 from .io import read_network, write_network, write_results
 from .oracle import differential_report
-from .paths import Metric, fastest, foremost, reconstruct_walk, shortest
-from .simulate import SimulationPlan, run
+from .paths import Metric, reconstruct_walk
+from .simulate import SimulationPlan, compute_labels, run, walk_doc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,12 +49,6 @@ def _write_output(data: bytes, path: str | None) -> None:
         sys.stdout.buffer.flush()
     else:
         Path(path).write_bytes(data)
-
-
-def _peak_rss_mib() -> float:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    divisor = 1024 * 1024 if sys.platform == "darwin" else 1024
-    return peak / divisor
 
 
 def _metric(value: str) -> Metric:
@@ -115,13 +107,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     h, _ = _load_network(args.input, strict=not args.lenient)
     metric = args.metric
-    if metric is Metric.FOREMOST:
-        labels = foremost(h, args.source, args.t0)
-    elif metric is Metric.SHORTEST:
-        max_hops = h.vertex_count if args.max_hops is None else args.max_hops
-        labels = shortest(h, args.source, args.t0, max_hops)
-    else:
-        labels = fastest(h, args.source, args.t0)
+    plan = SimulationPlan(
+        metrics=(metric,), t0=args.t0, max_hops=args.max_hops, keep_predecessors=True
+    )
+    labels = compute_labels(h, plan, args.source)[metric]
     if args.target not in labels.values:
         raise Unreached(
             f"{args.target!r} is unreached from {args.source!r} at t0={args.t0}"
@@ -135,11 +124,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             "metric": metric.value,
             "t0": args.t0,
             "value": value,
-            "walk": {
-                "departure": walk.departure,
-                "hops": [[e, v] for e, v in walk.hops],
-                "arrivals": list(walk.arrivals),
-            },
+            "walk": walk_doc(walk),
         }
         print(json.dumps(doc, sort_keys=True))
     else:
@@ -229,49 +214,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not mismatches else EXIT_VALIDATION
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    t_gen = time.perf_counter()
-    params = GenParams(
-        vertex_count=args.vertices,
-        edge_count=args.edges,
-        max_participants=args.max_participants,
-        span=args.span,
-        max_length=args.max_length,
-        seed=args.seed,
-    )
-    h = gen_random(params)
-    t_build = time.perf_counter()
-    plan = SimulationPlan(
-        metrics=(args.metric,),
-        sample_size=min(args.sources, h.vertex_count),
-        sample_seed=args.seed,
-        parallelism=_parallelism(args.parallel),
-    )
-    result = run(h, plan)
-    t_done = time.perf_counter()
-    n = len(result.summary["per_source"])
-    sim_seconds = t_done - t_build
-    doc = {
-        "vertices": h.vertex_count,
-        "edges": h.edge_count,
-        "metric": args.metric.value,
-        "sources": n,
-        "gen_seconds": round(t_build - t_gen, 3),
-        "simulate_seconds": round(sim_seconds, 3),
-        "sources_per_second": round(n / sim_seconds, 3) if sim_seconds > 0 else None,
-        "peak_rss_mib": round(_peak_rss_mib(), 1),
-    }
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(
-            f"{doc['vertices']} vertices, {doc['edges']} edges: "
-            f"{n} {args.metric.value} source(s) in {doc['simulate_seconds']}s "
-            f"({doc['sources_per_second']}/s), peak {doc['peak_rss_mib']} MiB"
-        )
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
@@ -353,19 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-oracle-edges", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="throughput and memory on a seeded synthetic network")
-    p.add_argument("--vertices", type=int, default=10_000)
-    p.add_argument("--edges", type=int, default=100_000)
-    p.add_argument("--sources", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--metric", type=_metric, default=Metric.FOREMOST)
-    p.add_argument("--max-participants", type=int, default=4)
-    p.add_argument("--span", type=int, default=100_000)
-    p.add_argument("--max-length", type=int, default=5_000)
-    p.add_argument("--parallel", type=int, default=None, help="default: THD_THREADS or 1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateEdgeId,
@@ -108,9 +108,6 @@ class TimeVaryingHypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> Iterator[str]:
-        return iter(self.vertex_ids)
 
     def __contains__(self, vertex: str) -> bool:
         return vertex in self._vertex_index

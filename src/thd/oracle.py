@@ -106,12 +106,15 @@ def _walk_states(
 
 
 def oracle_distances(
-    h: TimeVaryingHypergraph, source: str, t0: Tick, max_hops: int
+    h: TimeVaryingHypergraph, source: str, t0: Tick, max_hops: int, horizon: Tick | None = None
 ) -> OracleResult:
     """Fold the walk stream into exact per-vertex minima for all three metrics.
 
     Witnesses keep the first walk (in enumeration order) attaining each
-    final minimum, so results are deterministic.
+    final minimum, so results are deterministic. With a ``horizon``, walks
+    whose final arrival lies past it are dropped. A walk's best departure
+    for duration never changes its final arrival, so the duration needs no
+    other change.
     """
     foremost: dict[str, Tick] = {}
     hops: dict[str, int] = {}
@@ -126,6 +129,8 @@ def oracle_distances(
     for u, walk_hops, arrivals, max_start, min_end in _walk_states(h, source, t0, max_hops):
         v = ids[u]
         arr = arrivals[-1] if arrivals else t0
+        if horizon is not None and arr > horizon:
+            continue
         if arr < foremost.get(v, inf):
             foremost[v] = arr
             w_fore[v] = TemporalWalk(source, t0, walk_hops, arrivals)
@@ -164,6 +169,7 @@ def _check_labels(
     h: TimeVaryingHypergraph,
     labels: DistanceLabels,
     expected: Mapping[str, int],
+    horizon: Tick | None,
     out: list[str],
 ) -> None:
     name = labels.metric.value
@@ -199,27 +205,33 @@ def _check_labels(
                 f"{name} from {labels.source!r}: witness for {target!r} departs "
                 f"at {walk.departure} before t0 {labels.t0}"
             )
+        if horizon is not None and walk.arrival > horizon:
+            out.append(
+                f"{name} from {labels.source!r}: witness for {target!r} arrives "
+                f"at {walk.arrival} past the horizon {horizon}"
+            )
 
 
 def differential_report(
-    h: TimeVaryingHypergraph, t0: Tick = 0, max_hops: int | None = None
+    h: TimeVaryingHypergraph, t0: Tick = 0, max_hops: int | None = None, horizon: Tick | None = None
 ) -> list[str]:
     """Compare all three metrics with the oracle from every source.
 
     Also validates every reconstructed witness walk (feasibility, attained
-    value). Returns human-readable mismatch descriptions, empty when the
-    implementations agree everywhere. Strictly desk scale: the oracle is
-    exhaustive. The default hop budget is ``|V| - 1``: cutting any cycle
-    out of a walk never worsens a metric, so simple walks attain every
-    minimum.
+    value, arrival within the ``horizon``). Returns human-readable mismatch
+    descriptions, empty when the implementations agree everywhere. Strictly
+    desk scale: the oracle is exhaustive. The default hop budget is
+    ``|V| - 1``: cutting any cycle out of a walk never worsens a metric, so
+    simple walks attain every minimum. A horizon, when given, is at least
+    ``t0``.
     """
     budget = max_hops if max_hops is not None else max(h.vertex_count - 1, 1)
     out: list[str] = []
     for source in h.vertex_ids:
-        orc = oracle_distances(h, source, t0, budget)
-        _check_labels(h, foremost(h, source, t0), orc.foremost, out)
-        _check_labels(h, shortest(h, source, t0, budget), orc.hops, out)
-        _check_labels(h, fastest(h, source, t0), orc.duration, out)
+        orc = oracle_distances(h, source, t0, budget, horizon)
+        _check_labels(h, foremost(h, source, t0, horizon), orc.foremost, horizon, out)
+        _check_labels(h, shortest(h, source, t0, budget, horizon), orc.hops, horizon, out)
+        _check_labels(h, fastest(h, source, t0, horizon), orc.duration, horizon, out)
         for witness_map, values, metric in (
             (orc.foremost_witness, orc.foremost, Metric.FOREMOST),
             (orc.hops_witness, orc.hops, Metric.SHORTEST),

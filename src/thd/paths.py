@@ -24,10 +24,13 @@ Three notions of minimal distance from a source:
   ``max(tau, latest edge start)`` and feasibility caps ``tau`` at the
   walk's earliest edge end, so the optimum departure of any walk is the
   minimum end over its edges, and ``{t0} union {end(e) >= t0}`` covers
-  every optimum. A walk feasible from ``tau'`` stays feasible from any
-  ``tau < tau'`` and arrives no later, so the kernel's descending sweep
-  over those candidates carries its earliest-arrival labels across
-  departures.
+  every optimum. A horizon caps ``tau`` as well (the walk arrives no
+  earlier than it departs), so under a horizon the optimum is the smaller
+  of that end and the horizon, and the candidates are
+  ``{t0} union {min(end(e), horizon) : end(e) >= t0}``. A walk feasible
+  from ``tau'`` stays feasible from any ``tau < tau'`` and arrives no
+  later, so the kernel's descending sweep over those candidates carries
+  its earliest-arrival labels across departures.
 
 Unreached vertices are absent from the label maps; the sentinels of the
 kernel's internal arrays never reach them.
@@ -232,18 +235,21 @@ def fastest(
 ) -> DistanceLabels:
     """Minimum duration (arrival minus departure) over departures ``>= t0``.
 
-    The earliest-arrival kernel swept over the candidate departures within
-    the horizon, largest first: labels carry from one departure to the
-    next, and only the vertices improved at a departure can improve their
-    duration there. The first (largest) departure attaining a vertex's
-    optimum supplies its witness walk.
+    The earliest-arrival kernel swept over the candidate departures, largest
+    first: labels carry from one departure to the next, and only the
+    vertices improved at a departure can improve their duration there.
+    Under a horizon the candidates are ``{t0} union {min(end, horizon) :
+    end >= t0}``: a walk whose earliest edge end lies past the horizon does
+    best departing at the horizon itself. The first (largest) departure
+    attaining a vertex's optimum supplies its witness walk.
     """
     src = h.index_of(source)
     ids = h.vertex_ids
     departures = fastest_departure_candidates(h, t0)
     if horizon is not None:
-        # t0 always runs, so the source is labelled even under a horizon < t0
-        departures = [tau for tau in departures if tau <= max(horizon, t0)]
+        # clamped to t0 at least, so the source is labelled even under a horizon < t0
+        cap = max(horizon, t0)
+        departures = sorted({min(tau, cap) for tau in departures}, reverse=True)
     best: dict[int, Tick] = {}
     witness: dict[int, TemporalWalk] = {}
     last_hop: dict[int, tuple[str, str]] = {}

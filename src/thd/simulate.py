@@ -185,9 +185,14 @@ def plan_digest(plan: SimulationPlan) -> str:
 # --------------------------------------------------------------------------
 
 
-def _compute_labels(
+def compute_labels(
     h: TimeVaryingHypergraph, plan: SimulationPlan, source: str
 ) -> dict[Metric, DistanceLabels]:
+    """Labels of every planned metric from one source; the plan is not validated.
+
+    The only place a metric selects its kernel. The kernels are looked up
+    as module attributes at call time, so a caller may rebind them.
+    """
     t0 = resolve_t0(h, plan, source)
     keep = plan.keep_predecessors
     out: dict[Metric, DistanceLabels] = {}
@@ -202,7 +207,8 @@ def _compute_labels(
     return out
 
 
-def _walk_doc(walk: TemporalWalk) -> dict:
+def walk_doc(walk: TemporalWalk) -> dict:
+    """JSON form of a witness walk, as result files and ``thd query --json`` carry it."""
     return {
         "departure": walk.departure,
         "hops": [[e, v] for e, v in walk.hops],
@@ -229,7 +235,7 @@ def _source_doc(source: str, t0: Tick, labels: Mapping[Metric, DistanceLabels]) 
         if lab.predecessors is not None:
             entry["predecessors"] = {v: list(p) for v, p in lab.predecessors.items()}
         if lab.witnesses is not None:
-            entry["witnesses"] = {v: _walk_doc(w) for v, w in lab.witnesses.items()}
+            entry["witnesses"] = {v: walk_doc(w) for v, w in lab.witnesses.items()}
         metrics_doc[m.value] = entry
     return {"source": source, "t0": t0, "metrics": metrics_doc}
 
@@ -417,7 +423,7 @@ _WORKER_STATE: tuple[TimeVaryingHypergraph, SimulationPlan] | None = None
 def _compute_source_doc(source: str) -> tuple[str, dict]:
     assert _WORKER_STATE is not None
     h, plan = _WORKER_STATE
-    labels = _compute_labels(h, plan, source)
+    labels = compute_labels(h, plan, source)
     return source, _source_doc(source, resolve_t0(h, plan, source), labels)
 
 

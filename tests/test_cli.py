@@ -106,6 +106,33 @@ def test_query_unknown_metric_is_usage_error(g1_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("metric", ["shortest", "fastest"])
+def test_query_walk_matches_simulate_witness(tmp_path, capsys, metric):
+    net = tmp_path / "net.json"
+    assert main(["gen", "-o", str(net), "--vertices", "30", "--edges", "90", "--seed", "3"]) == 0
+    source = json.loads(net.read_bytes())["edges"][0]["participants"][0]
+    out = tmp_path / "r.json"
+    assert main(
+        ["simulate", str(net), "-o", str(out), "--metric", metric, "--keep-predecessors",
+         "--sources", source, "--t0", "40"]
+    ) == 0
+    witnesses = json.loads(out.read_bytes())["sources"][0]["metrics"][metric]["witnesses"]
+    assert len(witnesses) > 1
+    capsys.readouterr()
+    for target, witness in witnesses.items():
+        assert main(
+            ["query", str(net), "--source", source, "--target", target, "--metric", metric,
+             "--t0", "40", "--json"]
+        ) == 0
+        walk = json.loads(capsys.readouterr().out)["walk"]
+        if target == source:
+            # the query answers the source with the empty walk at t0; a fastest
+            # result's source witness departs at its largest candidate instead
+            assert walk["hops"] == witness["hops"] == []
+        else:
+            assert walk == witness
+
+
 def test_simulate_writes_result_file(g1_file, tmp_path, capsys):
     out = tmp_path / "result.json"
     assert main(["simulate", g1_file, "-o", str(out), "--t0", "0"]) == 0
@@ -222,20 +249,11 @@ def test_verify_refuses_large_input(tmp_path, capsys):
     assert main(["verify", str(big)]) == 1
 
 
-def test_bench_small(capsys):
-    assert main(
-        ["bench", "--vertices", "60", "--edges", "200", "--sources", "5", "--json"]
-    ) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["sources"] == 5
-    assert doc["peak_rss_mib"] > 0
-    assert doc["simulate_seconds"] >= 0
-
-
 def test_usage_error_unknown_command():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for command in ("frobnicate", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
 
 
 def test_console_entry_point(g1_file):

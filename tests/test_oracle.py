@@ -139,3 +139,10 @@ def test_differential_report_flags_a_broken_graph(g1, monkeypatch):
 def test_differential_seeded_instances_smoke():
     for seed in range(25):
         assert differential_report(gen_desk_instance(seed)) == []
+
+
+def test_differential_seeded_instances_under_horizon():
+    for seed in range(100):
+        h = gen_desk_instance(seed)
+        for t0, horizon in ((0, 6), (2, 9)):
+            assert differential_report(h, t0=t0, horizon=horizon) == [], (seed, t0, horizon)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -146,18 +147,26 @@ def test_fastest_departure_bounded_by_middle_edge():
     assert walk.duration == 45
 
 
-def test_fastest_skips_departures_past_horizon():
+def test_fastest_clamps_departures_past_horizon_to_it():
     h = build_hypergraph(
         [hyperedge("e1", ["a", "b"], 0, 3), hyperedge("e2", ["b", "c"], 50, 100)]
     )
     assert fastest_departure_candidates(h, 0) == [100, 3, 0]
     labels = fastest(h, "a", 0, horizon=10)
     assert dict(labels.values) == {"a": 0, "b": 0}
-    # the source's empty walk departs at the largest candidate within the horizon
-    assert labels.witnesses["a"] == TemporalWalk("a", 3, (), ())
+    # the end 100 is clamped to the horizon, the source's largest departure
+    assert labels.witnesses["a"] == TemporalWalk("a", 10, (), ())
     for walk in labels.witnesses.values():
         validate_walk(h, walk)
         assert walk.arrival <= 10
+
+
+def test_fastest_departs_at_horizon_inside_a_long_edge():
+    # departing at 0 waits 5 ticks; departing at the horizon 10 waits none
+    h = build_hypergraph([hyperedge("e1", ["a", "b"], 5, 20)])
+    labels = fastest(h, "a", 0, horizon=10)
+    assert dict(labels.values) == {"a": 0, "b": 0}
+    assert labels.witnesses["b"] == TemporalWalk("a", 10, (("e1", "b"),), (10,))
 
 
 def test_equal_arrival_keeps_smallest_edge_then_prior():
@@ -359,15 +368,21 @@ def test_layering_stabilizes_seeded():
         assert full == beyond
 
 
-def _fastest_reference(h, source, t0, horizon):
-    """Fastest by definition: the best foremost run over every candidate departure."""
+def _best_foremost_over(h, source, departures, horizon):
+    """Fastest by definition: the best foremost run over the given departures."""
     best: dict = {}
-    for tau in fastest_departure_candidates(h, t0):
-        if horizon is not None and tau > horizon:
-            continue
+    for tau in departures:
         for v, a in foremost(h, source, tau, horizon, keep_predecessors=False).values.items():
             best[v] = min(best.get(v, a - tau), a - tau)
     return best
+
+
+def _fastest_reference(h, source, t0, horizon):
+    """The best foremost run over every candidate departure, clamped to the horizon."""
+    departures = fastest_departure_candidates(h, t0)
+    if horizon is not None:
+        departures = {min(tau, max(horizon, t0)) for tau in departures}
+    return _best_foremost_over(h, source, departures, horizon)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -385,6 +400,24 @@ def test_fastest_matches_per_departure_reference_seeded(seed):
                 assert walk_metric_value(walk, labels.metric) == labels.values[target]
                 if horizon is not None:
                     assert walk.departure <= horizon and walk.arrival <= horizon
+
+
+def test_fastest_under_horizon_matches_every_integer_departure_seeded():
+    # integer ticks, so every departure in [t0, horizon] is tried: no candidate set is assumed
+    rng = random.Random(11)
+    for seed in range(30):
+        h = gen_random(GenParams(vertex_count=30, edge_count=80, span=100, max_length=20, seed=seed))
+        for _ in range(6):
+            source = rng.choice(h.vertex_ids)
+            t0 = rng.randrange(0, 80)
+            horizon = rng.randrange(t0, 121)
+            labels = fastest(h, source, t0, horizon)
+            brute = _best_foremost_over(h, source, range(t0, horizon + 1), horizon)
+            assert dict(labels.values) == brute, (seed, source, t0, horizon)
+            for target, walk in labels.witnesses.items():
+                validate_walk(h, walk)
+                assert t0 <= walk.departure and walk.arrival <= horizon
+                assert walk_metric_value(walk, labels.metric) == labels.values[target]
 
 
 def test_fastest_departure_candidates_contract():
