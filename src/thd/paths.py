@@ -18,7 +18,10 @@ Three notions of minimal distance from a source:
   ``t0``. Computed by hop-layered dynamic programming where each layer
   keeps only the earliest arrival per vertex; an earlier arrival never
   disables an extension that a later one enables, so that reduction is
-  lossless.
+  lossless. Each round expands only the vertices the previous one
+  improved. It relaxes an edge only when the edge would deliver strictly
+  earlier than it last did, and it scans a re-expanded vertex's
+  start-sorted edges only up to its previous arrival.
 * fastest - smallest duration (arrival minus departure), minimized over
   all departures ``tau >= t0``. For a fixed walk the arrival equals
   ``max(tau, latest edge start)`` and feasibility caps ``tau`` at the
@@ -123,15 +126,15 @@ def _earliest_arrivals(
     src: int,
     departures: Iterable[Tick],
     horizon: Tick | None,
-) -> Iterator[tuple[Tick, list[int], list[Tick], list[tuple[int, int] | None]]]:
+) -> Iterator[tuple[Tick, list[int], list[Tick], list[int], list[int]]]:
     """Earliest arrivals from ``src`` over strictly descending departures.
 
-    After each departure ``tau`` yields ``(tau, improved, arrival, pred)``:
-    the vertex indices whose arrival strictly dropped at ``tau`` (the
-    source included), in expansion order, and the arrival tick and last
-    hop ``(edge index, prior vertex index)`` of every vertex, shared and
-    carried from one departure to the next. Unreached vertices hold
-    ``NEVER`` and no predecessor.
+    After each departure ``tau`` yields ``(tau, improved, arrival,
+    pred_edge, pred_prior)``: the vertex indices whose arrival strictly
+    dropped at ``tau`` (the source included), in expansion order, and the
+    arrival tick and last hop (edge index, prior vertex index) of every
+    vertex, shared and carried from one departure to the next. Unreached
+    vertices hold ``NEVER`` and ``-1``, as the source's last hop does.
 
     Each departure is a label-setting heap pass that expands only the
     vertices it improves. An edge is relaxed only when it would deliver
@@ -152,7 +155,8 @@ def _earliest_arrivals(
     limit = MAX_TICK if horizon is None else horizon
 
     arrival: list[Tick] = [NEVER] * len(ids)
-    pred: list[tuple[int, int] | None] = [None] * len(ids)
+    pred_edge: list[int] = [-1] * len(ids)
+    pred_prior: list[int] = [-1] * len(ids)
     # what each edge delivered last: its members already arrive no later
     delivered: list[Tick] = [NEVER] * len(edges)
     for tau in departures:
@@ -178,13 +182,14 @@ def _earliest_arrivals(
                     a_v = arrival[v]
                     if arr < a_v:
                         arrival[v] = arr
-                        pred[v] = (ei, u)
+                        pred_edge[v] = ei
+                        pred_prior[v] = u
                         heappush(heap, (arr, v))
                     elif arr == a_v and v != u:
-                        e0, u0 = pred[v]
-                        if (edges[ei].id, ids[u]) < (edges[e0].id, ids[u0]):
-                            pred[v] = (ei, u)
-        yield tau, improved, arrival, pred
+                        if (edges[ei].id, ids[u]) < (edges[pred_edge[v]].id, ids[pred_prior[v]]):
+                            pred_edge[v] = ei
+                            pred_prior[v] = u
+        yield tau, improved, arrival, pred_edge, pred_prior
 
 
 def foremost(
@@ -202,7 +207,7 @@ def foremost(
     the hypergraph.
     """
     src = h.index_of(source)
-    _, reached, arrival, pred = next(_earliest_arrivals(h, src, (t0,), horizon))
+    _, reached, arrival, pred_edge, pred_prior = next(_earliest_arrivals(h, src, (t0,), horizon))
     reached.sort()
     ids = h.vertex_ids
     values = {ids[v]: arrival[v] for v in reached}
@@ -210,7 +215,7 @@ def foremost(
     if keep_predecessors:
         edges = h.edges
         predecessors = {
-            ids[v]: (edges[pred[v][0]].id, ids[pred[v][1]]) for v in reached if v != src
+            ids[v]: (edges[pred_edge[v]].id, ids[pred_prior[v]]) for v in reached if v != src
         }
     return DistanceLabels(source, t0, Metric.FOREMOST, values, predecessors)
 
@@ -253,7 +258,9 @@ def fastest(
     best: dict[int, Tick] = {}
     witness: dict[int, TemporalWalk] = {}
     last_hop: dict[int, tuple[str, str]] = {}
-    for tau, improved, arrival, pred in _earliest_arrivals(h, src, departures, horizon):
+    for tau, improved, arrival, pred_edge, pred_prior in _earliest_arrivals(
+        h, src, departures, horizon
+    ):
         # a vertex not improved kept its arrival, so its duration only grew
         for v in improved:
             if v in best and arrival[v] - tau >= best[v]:
@@ -263,14 +270,14 @@ def fastest(
                 # links stay tight (an earlier arrival at a link's tail
                 # re-relaxes its edge), so carried arrivals replay from tau
                 chain, w = [], v
-                while pred[w] is not None:
+                while w != src:
                     chain.append(w)
-                    w = pred[w][1]
+                    w = pred_prior[w]
                 chain.reverse()
-                hops = tuple((h.edges[pred[w][0]].id, ids[w]) for w in chain)
+                hops = tuple((h.edges[pred_edge[w]].id, ids[w]) for w in chain)
                 witness[v] = TemporalWalk(source, tau, hops, tuple(arrival[w] for w in chain))
                 if hops:
-                    last_hop[v] = (hops[-1][0], ids[pred[v][1]])
+                    last_hop[v] = (hops[-1][0], ids[pred_prior[v]])
 
     values = {ids[v]: d for v, d in sorted(best.items())}
     if not keep_predecessors:
@@ -298,6 +305,13 @@ def shortest(
     Layer ``k`` holds the earliest arrival reachable in at most ``k``
     hops; a vertex's hop label is the first layer that defines it. Layers
     stop early once no arrival improves, and never exceed ``max_hops``.
+    Round ``k`` expands the vertices improved in round ``k - 1``, in
+    ascending id order. It skips an edge that would deliver no earlier
+    than it last did: its members already arrive no later, and an equal
+    later delivery in the same round loses the ``(edge id, prior id)``
+    tie. A re-expanded vertex stops at its first edge (by start) starting
+    no earlier than its previous expansion, which already delivered that
+    start or found it past the horizon.
     """
     if max_hops < 1:
         raise NonPositiveMaxHops(f"max_hops must be >= 1, got {max_hops}")
@@ -307,9 +321,15 @@ def shortest(
     ends = h.edge_ends
     members = h.edge_members
     incidence = h.incidence
+    edges = h.edges
     ids = h.vertex_ids
+    limit = MAX_TICK if horizon is None else horizon
 
-    arrival: dict[int, Tick] = {src: t0}
+    arrival: list[Tick] = [NEVER] * len(ids)
+    arrival[src] = t0
+    expanded: list[Tick] = [NEVER] * len(ids)  # arrival at the last expansion
+    # what each edge delivered last: its members already arrive no later
+    delivered: list[Tick] = [NEVER] * len(starts)
     hop_of: dict[int, int] = {src: 0}
 
     # arrival-improvement events; walking prior links from a vertex's first
@@ -318,7 +338,7 @@ def shortest(
     ev_vertex: list[int] = []
     ev_arrival: list[Tick] = []
     ev_prior: list[int] = []
-    latest_event: dict[int, int] = {src: -1}
+    latest_event: list[int] = [-1] * len(ids)
     first_event: dict[int, int] = {}
 
     frontier = [src]
@@ -329,41 +349,38 @@ def shortest(
         updates: dict[int, tuple[Tick, int, int, int]] = {}
         for u in frontier:
             a_u = arrival[u]
+            cut = expanded[u]
+            expanded[u] = a_u
             pe = latest_event[u]
             for ei in incidence[u]:
+                if starts[ei] >= cut:
+                    break
                 if ends[ei] < a_u:
                     continue
                 arr = a_u if a_u >= starts[ei] else starts[ei]
-                if horizon is not None and arr > horizon:
+                if arr >= delivered[ei] or arr > limit:
                     continue
+                delivered[ei] = arr
                 for v in members[ei]:
-                    if v == u:
-                        continue
-                    known = arrival.get(v)
-                    if known is not None and known <= arr:
+                    if arrival[v] <= arr:  # u itself included
                         continue
                     cur = updates.get(v)
                     if cur is None or arr < cur[0]:
                         updates[v] = (arr, ei, u, pe)
-                    elif arr == cur[0] and (h.edges[ei].id, ids[u]) < (
-                        h.edges[cur[1]].id,
-                        ids[cur[2]],
-                    ):
+                    elif arr == cur[0] and (edges[ei].id, ids[u]) < (edges[cur[1]].id, ids[cur[2]]):
                         updates[v] = (arr, ei, u, pe)
         frontier = []
         for v, (arr, ei, u, pe) in updates.items():
-            known = arrival.get(v)
-            event = len(ev_edge)
-            ev_edge.append(ei)
-            ev_vertex.append(v)
-            ev_arrival.append(arr)
-            ev_prior.append(pe)
-            latest_event[v] = event
-            if known is None:
-                hop_of[v] = layer
-                first_event[v] = event
+            hop_of.setdefault(v, layer)
             arrival[v] = arr
             frontier.append(v)
+            if keep_predecessors:  # the event chain only feeds witnesses
+                first_event.setdefault(v, len(ev_edge))
+                latest_event[v] = len(ev_edge)
+                ev_edge.append(ei)
+                ev_vertex.append(v)
+                ev_arrival.append(arr)
+                ev_prior.append(pe)
         frontier.sort()
 
     values = {ids[v]: k for v, k in sorted(hop_of.items())}
@@ -376,7 +393,7 @@ def shortest(
             rev: list[tuple[str, str, Tick]] = []
             ev = first_event[v]
             while ev != -1:
-                rev.append((h.edges[ev_edge[ev]].id, ids[ev_vertex[ev]], ev_arrival[ev]))
+                rev.append((edges[ev_edge[ev]].id, ids[ev_vertex[ev]], ev_arrival[ev]))
                 ev = ev_prior[ev]
             rev.reverse()
             walk = TemporalWalk(
@@ -400,16 +417,17 @@ def reconstruct_walk(labels: DistanceLabels, target: str) -> TemporalWalk:
     """Recover a feasible optimal walk for ``target`` from its labels.
 
     The walk's metric value equals ``labels.values[target]`` exactly.
+    Labels with witnesses answer with the stored one, the source's too.
     Raises Unreached when the target carries no label, and PathsError when
     the labels were computed without predecessors.
     """
     if target not in labels.values:
         raise Unreached(f"{target!r} is not reached in these labels")
+    if labels.witnesses is not None:
+        return labels.witnesses[target]
     if target == labels.source:
         return TemporalWalk(labels.source, labels.t0, (), ())
-    if labels.metric is Metric.FOREMOST:
-        if labels.predecessors is None:
-            raise PathsError("labels were computed without predecessors")
+    if labels.metric is Metric.FOREMOST and labels.predecessors is not None:
         rev: list[tuple[str, str]] = []
         v = target
         while v != labels.source:
@@ -424,9 +442,7 @@ def reconstruct_walk(labels: DistanceLabels, target: str) -> TemporalWalk:
             tuple(rev),
             tuple(labels.values[v] for _, v in rev),
         )
-    if labels.witnesses is None:
-        raise PathsError("labels were computed without predecessors")
-    return labels.witnesses[target]
+    raise PathsError("labels were computed without predecessors")
 
 
 def validate_walk(h: TimeVaryingHypergraph, walk: TemporalWalk) -> None:

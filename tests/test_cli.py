@@ -124,13 +124,7 @@ def test_query_walk_matches_simulate_witness(tmp_path, capsys, metric):
             ["query", str(net), "--source", source, "--target", target, "--metric", metric,
              "--t0", "40", "--json"]
         ) == 0
-        walk = json.loads(capsys.readouterr().out)["walk"]
-        if target == source:
-            # the query answers the source with the empty walk at t0; a fastest
-            # result's source witness departs at its largest candidate instead
-            assert walk["hops"] == witness["hops"] == []
-        else:
-            assert walk == witness
+        assert json.loads(capsys.readouterr().out)["walk"] == witness
 
 
 def test_simulate_writes_result_file(g1_file, tmp_path, capsys):

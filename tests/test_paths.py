@@ -18,6 +18,7 @@ from thd import (
     validate_walk,
     walk_metric_value,
 )
+from thd.core import Tick, TimeVaryingHypergraph
 from thd.errors import (
     InfeasibleWalk,
     NonPositiveMaxHops,
@@ -25,7 +26,7 @@ from thd.errors import (
     Unreached,
     UnknownVertex,
 )
-from thd.paths import fastest_departure_candidates
+from thd.paths import DistanceLabels, Metric, fastest_departure_candidates
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -427,3 +428,151 @@ def test_fastest_departure_candidates_contract():
             cands = fastest_departure_candidates(h, t0)
             assert cands == sorted(set(cands), reverse=True)
             assert set(cands) == {t0} | {end for end in h.edge_ends if end >= t0}
+
+
+# The hop-layered shortest without the per-edge delivered skip or the
+# start-sorted cutoff: every frontier vertex re-scans all its edges and
+# members. The skipping kernel must return equal labels on every input.
+def _shortest_reference(
+    h: TimeVaryingHypergraph,
+    source: str,
+    t0: Tick,
+    max_hops: int,
+    horizon: Tick | None = None,
+    keep_predecessors: bool = True,
+) -> DistanceLabels:
+    """Minimum hop count over temporally feasible walks from ``(source, t0)``.
+
+    Layer ``k`` holds the earliest arrival reachable in at most ``k``
+    hops; a vertex's hop label is the first layer that defines it. Layers
+    stop early once no arrival improves, and never exceed ``max_hops``.
+    """
+    if max_hops < 1:
+        raise NonPositiveMaxHops(f"max_hops must be >= 1, got {max_hops}")
+    src = h.index_of(source)
+
+    starts = h.edge_starts
+    ends = h.edge_ends
+    members = h.edge_members
+    incidence = h.incidence
+    ids = h.vertex_ids
+
+    arrival: dict[int, Tick] = {src: t0}
+    hop_of: dict[int, int] = {src: 0}
+
+    # arrival-improvement events; walking prior links from a vertex's first
+    # event replays a feasible minimal-hop walk exactly
+    ev_edge: list[int] = []
+    ev_vertex: list[int] = []
+    ev_arrival: list[Tick] = []
+    ev_prior: list[int] = []
+    latest_event: dict[int, int] = {src: -1}
+    first_event: dict[int, int] = {}
+
+    frontier = [src]
+    layer = 0
+    while frontier and layer < max_hops:
+        layer += 1
+        # candidate per vertex: (arrival, edge idx, prior vertex, prior event)
+        updates: dict[int, tuple[Tick, int, int, int]] = {}
+        for u in frontier:
+            a_u = arrival[u]
+            pe = latest_event[u]
+            for ei in incidence[u]:
+                if ends[ei] < a_u:
+                    continue
+                arr = a_u if a_u >= starts[ei] else starts[ei]
+                if horizon is not None and arr > horizon:
+                    continue
+                for v in members[ei]:
+                    if v == u:
+                        continue
+                    known = arrival.get(v)
+                    if known is not None and known <= arr:
+                        continue
+                    cur = updates.get(v)
+                    if cur is None or arr < cur[0]:
+                        updates[v] = (arr, ei, u, pe)
+                    elif arr == cur[0] and (h.edges[ei].id, ids[u]) < (
+                        h.edges[cur[1]].id,
+                        ids[cur[2]],
+                    ):
+                        updates[v] = (arr, ei, u, pe)
+        frontier = []
+        for v, (arr, ei, u, pe) in updates.items():
+            known = arrival.get(v)
+            event = len(ev_edge)
+            ev_edge.append(ei)
+            ev_vertex.append(v)
+            ev_arrival.append(arr)
+            ev_prior.append(pe)
+            latest_event[v] = event
+            if known is None:
+                hop_of[v] = layer
+                first_event[v] = event
+            arrival[v] = arr
+            frontier.append(v)
+        frontier.sort()
+
+    values = {ids[v]: k for v, k in sorted(hop_of.items())}
+    predecessors = None
+    witnesses = None
+    if keep_predecessors:
+        predecessors = {}
+        witnesses = {ids[src]: TemporalWalk(source, t0, (), ())}
+        for v in sorted(first_event):
+            rev: list[tuple[str, str, Tick]] = []
+            ev = first_event[v]
+            while ev != -1:
+                rev.append((h.edges[ev_edge[ev]].id, ids[ev_vertex[ev]], ev_arrival[ev]))
+                ev = ev_prior[ev]
+            rev.reverse()
+            walk = TemporalWalk(
+                source,
+                t0,
+                tuple((e, w) for e, w, _ in rev),
+                tuple(a for _, _, a in rev),
+            )
+            witnesses[ids[v]] = walk
+            prior = rev[-2][1] if len(rev) >= 2 else source
+            predecessors[ids[v]] = (rev[-1][0], prior)
+    return DistanceLabels(source, t0, Metric.SHORTEST, values, predecessors, witnesses)
+
+
+def test_shortest_matches_reference_seeded():
+    rng = random.Random(7)
+    for seed in range(12):
+        h = gen_random(GenParams(vertex_count=30, edge_count=90, span=200, max_length=30, seed=seed))
+        n = h.vertex_count
+        for source in h.vertex_ids[seed % 3 :: 5]:
+            t0 = rng.choice((0, 40, 120))
+            for horizon in (None, t0 + 15, t0 + 150):
+                for max_hops in (1, 2, 3, n):
+                    keep = rng.random() < 0.5
+                    got = shortest(h, source, t0, max_hops, horizon, keep)
+                    want = _shortest_reference(h, source, t0, max_hops, horizon, keep)
+                    assert got == want, (seed, source, t0, horizon, max_hops, keep)
+
+
+def test_shortest_reexpansion_relaxes_edges_skipped_at_a_later_arrival():
+    # x is first reached at 10 over e1, then at 2 over y; expanded again at 2
+    # it must relax e4 (closed at 10) and e5 (start 9, between 2 and 10)
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "x"], 10, 10),
+            hyperedge("e2", ["s", "y"], 0, 0),
+            hyperedge("e3", ["y", "x"], 2, 2),
+            hyperedge("e4", ["x", "a"], 1, 5),
+            hyperedge("e5", ["x", "b"], 9, 20),
+            hyperedge("e6", ["x", "c"], 12, 15),
+            hyperedge("e7", ["b", "d"], 0, 9),
+        ]
+    )
+    labels = shortest(h, "s", 0, h.vertex_count)
+    assert dict(labels.values) == {"a": 3, "b": 2, "c": 2, "d": 4, "s": 0, "x": 1, "y": 1}
+    assert labels == _shortest_reference(h, "s", 0, h.vertex_count)
+    assert labels.witnesses["d"].hops == (("e2", "y"), ("e3", "x"), ("e5", "b"), ("e7", "d"))
+    assert labels.witnesses["d"].arrivals == (0, 2, 9, 9)
+    for target, walk in labels.witnesses.items():
+        validate_walk(h, walk)
+        assert walk_metric_value(walk, labels.metric) == labels.values[target]
