@@ -12,6 +12,7 @@ calendar timestamps to milliseconds since the epoch.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,9 +30,11 @@ Tick = int
 
 MIN_TICK = -(2**62)
 MAX_TICK = 2**62
+# surrogates (a lone JSON "\ud800" escape) are the only code points UTF-8 rejects
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalHyperedge:
     """One interaction: who participated, and when the edge was open.
 
@@ -49,16 +52,22 @@ class TemporalHyperedge:
         """Raise a :class:`~thd.errors.HypergraphError` subclass if invalid."""
         if not isinstance(self.id, str) or not self.id:
             raise InvalidVertexId(f"edge id must be a nonempty string, got {self.id!r}")
+        if not self.id.isascii() and _SURROGATE.search(self.id):
+            raise InvalidVertexId(f"edge id {self.id!r} is not valid UTF-8")
         for p in self.participants:
             if not isinstance(p, str) or not p:
                 raise InvalidVertexId(
                     f"edge {self.id!r}: participant must be a nonempty string, got {p!r}"
                 )
+            if not p.isascii() and _SURROGATE.search(p):
+                raise InvalidVertexId(f"edge {self.id!r}: participant {p!r} is not valid UTF-8")
         if len(self.participants) < 2:
             raise TooFewParticipants(
                 f"edge {self.id!r} has {len(self.participants)} participant(s), need >= 2"
             )
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
+        # a bool tick would be written as false/true, which read_network rejects
+        ticks = (type(self.start), type(self.end))
+        if bool in ticks or not (isinstance(self.start, int) and isinstance(self.end, int)):
             raise InvalidInterval(f"edge {self.id!r}: ticks must be integers")
         if not (MIN_TICK <= self.start <= MAX_TICK and MIN_TICK <= self.end <= MAX_TICK):
             raise InvalidInterval(f"edge {self.id!r}: tick outside representable range")
@@ -152,16 +161,18 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
 
     edges = tuple(edge_records)
 
-    vertex_ids = tuple(sorted({p for e in edges for p in e.participants}))
+    vertex_ids = tuple(sorted(set().union(*[e.participants for e in edges])))
     vertex_index = {v: i for i, v in enumerate(vertex_ids)}
 
-    edge_starts = tuple(e.start for e in edges)
-    edge_ends = tuple(e.end for e in edges)
-    edge_members = tuple(
-        tuple(sorted(vertex_index[p] for p in e.participants)) for e in edges
-    )
+    edge_starts = tuple([e.start for e in edges])
+    edge_ends = tuple([e.end for e in edges])
+    index_of = vertex_index.__getitem__
+    edge_members = tuple([tuple(sorted(map(index_of, e.participants))) for e in edges])
 
-    order = sorted(range(len(edges)), key=lambda i: (edges[i].start, edges[i].id))
+    # (start, id) order: sort by id, then stably by start, both C-keyed
+    ids = [e.id for e in edges]
+    order = sorted(range(len(edges)), key=ids.__getitem__)
+    order.sort(key=edge_starts.__getitem__)
     incidence_lists: list[list[int]] = [[] for _ in vertex_ids]
     for ei in order:
         for vi in edge_members[ei]:
@@ -173,7 +184,7 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
         edge_starts=edge_starts,
         edge_ends=edge_ends,
         edge_members=edge_members,
-        incidence=tuple(tuple(lst) for lst in incidence_lists),
+        incidence=tuple(map(tuple, incidence_lists)),
         _vertex_index=vertex_index,
     )
 

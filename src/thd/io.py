@@ -13,9 +13,11 @@ One self-describing JSON document is the wire contract::
 
 ``start``/``end`` are either integer ticks or ISO-8601 UTC timestamps
 (converted to milliseconds since the epoch); mixing the two encodings in
-one document is rejected. Parsing is incremental - edge records are
-decoded and released one at a time, so memory stays bounded by the
-largest single record rather than the document - and every malformed
+one document is rejected. Parsing is incremental: edge records are
+decoded and released one at a time, and the buffer is trimmed in chunks,
+dropping the consumed text each time the next 64 KiB is read. Memory
+stays bounded by the largest single value, which ``MAX_VALUE_BYTES``
+limits on its own, plus a chunk, not by the document. Every malformed
 record is reported with its index. Strict mode aborts on the first bad
 record, lenient mode skips and counts them.
 
@@ -29,12 +31,13 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import re
 from codecs import getincrementaldecoder
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, BinaryIO, Iterable
 
-from .core import TemporalHyperedge, TimeVaryingHypergraph
+from .core import MAX_TICK, MIN_TICK, TemporalHyperedge, TimeVaryingHypergraph
 from .errors import MalformedJson, MixedTimeEncodings, RecordInvalid
 
 if TYPE_CHECKING:
@@ -46,7 +49,8 @@ SCHEMA_VERSION = 1
 # field); inputs beyond this are hostile, not data
 MAX_VALUE_BYTES = 8 * 1024 * 1024
 _CHUNK = 64 * 1024
-_WS = " \t\n\r"
+_WS = re.compile(r"[ \t\n\r]*")
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
 
 
 def canonical_json_bytes(obj: object) -> bytes:
@@ -88,31 +92,20 @@ class _IncrementalReader:
         if self.eof:
             return
         chunk = self._stream.read(_CHUNK)
-        if not chunk:
-            self.eof = True
-            try:
-                self.buf += self._utf8.decode(b"", final=True)
-            except UnicodeDecodeError as exc:
-                raise MalformedJson(f"invalid UTF-8: {exc}") from None
-            return
+        self.eof = not chunk
         try:
-            self.buf += self._utf8.decode(chunk)
+            text = self._utf8.decode(chunk, final=self.eof)
         except UnicodeDecodeError as exc:
             raise MalformedJson(f"invalid UTF-8: {exc}") from None
-
-    def _trim(self) -> None:
-        if self.pos > 0:
-            self.buf = self.buf[self.pos :]
-            self.pos = 0
+        # drop the consumed text here, where the buffer is copied anyway
+        self.buf = self.buf[self.pos :] + text
+        self.pos = 0
 
     def skip_ws(self) -> None:
-        while True:
-            while self.pos < len(self.buf) and self.buf[self.pos] in _WS:
-                self.pos += 1
-            if self.pos < len(self.buf) or self.eof:
-                return
-            self._trim()
+        self.pos = _WS.match(self.buf, self.pos).end()
+        while self.pos == len(self.buf) and not self.eof:
             self._fill()
+            self.pos = _WS.match(self.buf, self.pos).end()
 
     def peek(self) -> str | None:
         self.skip_ws()
@@ -130,7 +123,6 @@ class _IncrementalReader:
     def value(self) -> object:
         """Decode one JSON value, growing the buffer as needed."""
         self.skip_ws()
-        self._trim()
         while True:
             try:
                 val, end = self._decoder.raw_decode(self.buf, self.pos)
@@ -138,21 +130,16 @@ class _IncrementalReader:
                 raise MalformedJson("value nested too deeply") from None
             except ValueError:
                 if self.eof:
-                    raise MalformedJson(
-                        f"truncated or invalid JSON near offset {self.pos}"
-                    ) from None
-                if len(self.buf) > MAX_VALUE_BYTES:
-                    raise MalformedJson("single value exceeds size limit") from None
-                self._fill()
-                continue
-            # a number at the buffer edge may continue in the next chunk
-            if end == len(self.buf) and not self.eof:
-                if len(self.buf) > MAX_VALUE_BYTES:
-                    raise MalformedJson("single value exceeds size limit")
-                self._fill()
-                continue
-            self.pos = end
-            return val
+                    # the reader tracks no document offset; the text stays as callers know it
+                    raise MalformedJson("truncated or invalid JSON near offset 0") from None
+            else:
+                # a number at the buffer edge may continue in the next chunk
+                if end < len(self.buf) or self.eof:
+                    self.pos = end
+                    return val
+            if len(self.buf) - self.pos > MAX_VALUE_BYTES:
+                raise MalformedJson("single value exceeds size limit")
+            self._fill()
 
 
 def _calendar_to_ms(text: str) -> int:
@@ -172,9 +159,7 @@ def _tick_field(record: dict, key: str, index: int) -> tuple[int, str]:
     if key not in record:
         raise RecordInvalid(index, f"missing {key!r}")
     raw = record[key]
-    if isinstance(raw, bool):
-        raise RecordInvalid(index, f"{key!r} must be an integer or ISO-8601 string")
-    if isinstance(raw, int):
+    if type(raw) is int:  # not bool
         return raw, "ticks"
     if isinstance(raw, str):
         try:
@@ -220,6 +205,28 @@ def _parse_record(
     return edge, enc_s
 
 
+def _plain_tick_record(record: object, names: dict[str, str]) -> TemporalHyperedge | None:
+    """The edge of a plainly valid tick record with ASCII ids, else None; never raises.
+
+    Participants are taken from `names`, so each vertex id is stored once.
+    """
+    if type(record) is not dict:
+        return None
+    edge_id, members = record.get("id"), record.get("participants")
+    start, end = record.get("start"), record.get("end")
+    if (type(edge_id) is not str or not edge_id or not edge_id.isascii()
+            or type(members) is not list or len(members) < 2 or type(start) is not int
+            or type(end) is not int or not MIN_TICK <= start <= end <= MAX_TICK):
+        return None
+    for p in members:
+        if type(p) is not str or not p or not p.isascii():
+            return None
+    participants = frozenset(map(names.setdefault, members, members))
+    if len(participants) != len(members):
+        return None
+    return TemporalHyperedge(edge_id, participants, start, end)
+
+
 def read_network(
     source: BinaryIO | bytes | bytearray, strict: bool = True
 ) -> tuple[list[TemporalHyperedge], ReadReport]:
@@ -241,6 +248,7 @@ def read_network(
     encoding: str | None = None
     edges: list[TemporalHyperedge] = []
     seen_ids: set[str] = set()
+    names: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []
     saw_edges = False
 
@@ -269,8 +277,9 @@ def read_network(
             else:
                 while True:
                     raw = reader.value()
+                    edge = _plain_tick_record(raw, names) if encoding != "calendar" else None
                     try:
-                        edge, enc = _parse_record(raw, index, encoding)
+                        edge, enc = (edge, "ticks") if edge else _parse_record(raw, index, encoding)
                         if edge.id in seen_ids:
                             raise RecordInvalid(index, f"duplicate edge id {edge.id!r}")
                     except RecordInvalid as exc:
@@ -282,6 +291,9 @@ def read_network(
                         seen_ids.add(edge.id)
                         edges.append(edge)
                     index += 1
+                    if sep := _COMMA.match(reader.buf, reader.pos):
+                        reader.pos = sep.end()
+                        continue
                     ch = reader.peek()
                     if ch == ",":
                         reader.pos += 1

@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -163,16 +164,21 @@ def resolve_t0(h: TimeVaryingHypergraph, plan: SimulationPlan, source: str) -> T
 
 
 def input_digest(h: TimeVaryingHypergraph) -> str:
-    """Content hash of the network, independent of edge input order."""
+    """Content hash of the network, independent of edge input order.
+
+    SHA-256 of each edge's compact ``json.dumps([id, sorted(participants),
+    start, end], ensure_ascii=False)`` in id order, built by hand (member
+    indexes sort as ids do) and hashed a slice of edges at a time.
+    """
+    names = [encode_basestring(v) for v in h.vertex_ids]
+    ids = [e.id for e in h.edges]
+    starts, ends, members = h.edge_starts, h.edge_ends, h.edge_members
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     digest = hashlib.sha256()
-    for e in sorted(h.edges, key=lambda e: e.id):
-        digest.update(
-            json.dumps(
-                [e.id, sorted(e.participants), e.start, e.end],
-                separators=(",", ":"),
-                ensure_ascii=False,
-            ).encode("utf-8")
-        )
+    for lo in range(0, len(order), 4096):
+        rows = (f'[{encode_basestring(ids[i])},[{",".join([names[v] for v in members[i]])}],'
+                f"{starts[i]},{ends[i]}]" for i in order[lo : lo + 4096])
+        digest.update("".join(rows).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -61,6 +61,28 @@ def test_validate_lenient_skips(tmp_path, capsys):
     assert "skipped 1 invalid record" in out
 
 
+SURROGATE_RECORDS = [
+    b'{"id":"e\\ud800","participants":["a","b"],"start":1,"end":2}',
+    b'{"id":"e","participants":["a\\udc00","b"],"start":1,"end":2}',
+]
+
+
+@pytest.mark.parametrize("bad", SURROGATE_RECORDS, ids=["edge-id", "participant"])
+def test_id_utf8_cannot_encode_is_invalid_record(tmp_path, capsys, bad):
+    path = tmp_path / "surrogate.json"
+    path.write_bytes(
+        b'{"edges":[{"id":"f","participants":["a","b"],"start":1,"end":2},' + bad + b"]}"
+    )
+    out = tmp_path / "result.json"
+    for command in (["validate", str(path)], ["simulate", str(path), "-o", str(out)]):
+        assert main(command) == 1
+        assert "edge record 1:" in capsys.readouterr().err
+    assert main(["validate", str(path), "--lenient"]) == 0
+    assert "record 1: " in capsys.readouterr().out
+    assert main(["simulate", str(path), "--lenient", "-o", str(out), "--t0", "0"]) == 0
+    assert [s["source"] for s in json.loads(out.read_bytes())["sources"]] == ["a", "b"]
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 1
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thd import build_hypergraph, hyperedge, incident_edges, stats
+from thd import build_hypergraph, hyperedge, incident_edges, read_network, stats, write_network
 from thd.errors import (
     DuplicateEdgeId,
     InvalidInterval,
@@ -87,6 +87,32 @@ def test_empty_identifiers_rejected():
         build_hypergraph([hyperedge("", ["a", "b"], 0, 1)])
     with pytest.raises(InvalidVertexId):
         build_hypergraph([hyperedge("e1", ["a", ""], 0, 1)])
+
+
+def test_bool_ticks_rejected():
+    # write_network would write false/true, which read_network refuses
+    for start, end in [(False, True), (False, 1), (0, True)]:
+        with pytest.raises(InvalidInterval, match="ticks must be integers"):
+            build_hypergraph([hyperedge("e", ["a", "b"], start, end)])
+    h = build_hypergraph([hyperedge("e", ["a", "b"], 0, 1)])
+    edges, _ = read_network(write_network(h))
+    assert build_hypergraph(edges) == h
+
+
+@pytest.mark.parametrize(
+    "edge_id, participants, message",
+    [
+        ("e\ud800", ["a", "b"], "edge id 'e\\ud800' is not valid UTF-8"),
+        ("e", ["a\udc00", "b"], "edge 'e': participant 'a\\udc00' is not valid UTF-8"),
+    ],
+    ids=["edge-id", "participant"],
+)
+def test_ids_that_utf8_cannot_encode_rejected(edge_id, participants, message):
+    with pytest.raises(InvalidVertexId) as err:
+        build_hypergraph([hyperedge(edge_id, participants, 0, 1)])
+    assert str(err.value) == message
+    # astral and non-ASCII ids are fine
+    build_hypergraph([hyperedge("é\U0001f600", ["a\U0001f600", "b"], 0, 1)])
 
 
 def test_vertex_interning_is_dense_and_sorted(g1):

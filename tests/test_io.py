@@ -16,6 +16,7 @@ from thd import (
     write_results,
 )
 from thd.errors import MalformedJson, MixedTimeEncodings, RecordInvalid
+from thd import io as thd_io
 from thd.io import canonical_json_bytes
 
 
@@ -141,6 +142,8 @@ def test_lenient_skips_and_counts():
         b"{",
         b'{"edges": [',
         b'{"edges": [{]}',
+        b'{"edges": [{"id": "e", "participants": ["a", "b"], "start": 1, "end": 2} , ]}',
+        b'{"edges": [{"id": "e", "participants": ["a", "b"], "start": 1, "end": 2} {}]}',
         b'{"edges": []} trailing',
         b'{"edges": [] "name": "x"}',
         b'{"edges": [NaN]}',
@@ -171,6 +174,116 @@ def test_multi_chunk_streaming():
     edges, report = read_network(data)
     assert len(edges) == 2000
     assert report.record_count == 2000
+
+
+class _ShortReads:
+    """A stream that returns at most `step` bytes per read, to hit every buffer edge."""
+
+    def __init__(self, data, step):
+        self._data, self._pos, self._step = data, 0, step
+
+    def read(self, n):
+        chunk = self._data[self._pos : self._pos + min(n, self._step)]
+        self._pos += len(chunk)
+        return chunk
+
+
+def _edge_tuples(edges):
+    return [(e.id, e.participants, e.start, e.end) for e in edges]
+
+
+def test_single_value_over_limit_rejected(monkeypatch):
+    monkeypatch.setattr(thd_io, "MAX_VALUE_BYTES", 100_000)
+    record = {"id": "e", "participants": ["a", "b" * 200_000], "start": 0, "end": 1}
+    data = json.dumps({"edges": [record]}).encode()
+    with pytest.raises(MalformedJson, match="single value exceeds size limit"):
+        read_network(data)
+
+
+def test_document_larger_than_value_limit_parses(monkeypatch):
+    # the limit is per value: many small records may add up to far more
+    monkeypatch.setattr(thd_io, "MAX_VALUE_BYTES", 10_000)
+    records = [
+        {"id": f"e{i}", "participants": [f"v{i % 97}", f"w{i % 89}"], "start": i, "end": i + 3}
+        for i in range(20_000)
+    ]
+    data = json.dumps({"edges": records}).encode()
+    assert len(data) > 100 * thd_io.MAX_VALUE_BYTES
+    buffered = []
+    fill = thd_io._IncrementalReader._fill
+
+    def recording_fill(reader):
+        fill(reader)
+        buffered.append(len(reader.buf))
+
+    monkeypatch.setattr(thd_io._IncrementalReader, "_fill", recording_fill)
+    edges, report = read_network(data)
+    assert report.record_count == 20_000
+    assert max(buffered) <= 2 * 64 * 1024  # consumed text is dropped, not kept
+    assert _edge_tuples(edges)[-1] == ("e19999", frozenset({"v17", "w63"}), 19999, 20002)
+
+
+def test_whitespace_and_chunk_boundaries_parse_alike():
+    records = [
+        {"id": f"e{i}", "participants": [f"v{i}", f"v{i + 1}", "p" * (1 + i % 300)], "start": -i, "end": i * 7}
+        for i in range(1500)
+    ]
+    doc = {"schema": 1, "name": "ws", "edges": records}
+    compact = json.dumps(doc, separators=(",", ":")).encode()
+    assert len(compact) > 3 * 64 * 1024
+    expected, _ = read_network(compact)
+    assert len(expected) == 1500
+    spaced = [
+        json.dumps(doc, indent=2).encode(),
+        json.dumps(doc, separators=(" ,\n\t", " : ")).encode(),
+        b"\r\n " + compact.replace(b",", b" \n, ") + b" \n",
+    ]
+    for data in spaced:
+        assert _edge_tuples(read_network(data)[0]) == _edge_tuples(expected)
+    for step in (3, 64 * 1024 - 1):
+        for data in (compact, spaced[1]):
+            edges, _ = read_network(_ShortReads(data, step))
+            assert _edge_tuples(edges) == _edge_tuples(expected)
+
+
+def test_lenient_skips_match_strict_reasons():
+    records = [
+        {"id": "e1", "participants": ["a", "b"], "start": 0, "end": 1},
+        {"id": "e2", "participants": ["a", "b"], "start": True, "end": 1},
+        {"id": "e3", "participants": ["a"], "start": 0, "end": 1},
+        {"id": "e1", "participants": ["b", "c"], "start": 0, "end": 1},
+        {"id": "é4", "participants": ["a", "b", "a"], "start": 0, "end": 1},
+        {"id": "e5", "participants": ["a", "b"], "start": 2, "end": 1},
+        {"id": "e6", "participants": ["a", 7], "start": 0, "end": 1},
+        {"id": "e7", "participants": ["a", "b"], "start": 0, "end": 2**62 + 1},
+        {"id": "", "participants": ["a", "b"], "start": 0, "end": 1},
+        {"id": "e8\U0001f600", "participants": ["</x>", "b\\\""], "start": -5, "end": -5},
+        ["e9"],
+        {"id": "e10", "participants": ["a", ""], "start": 0, "end": 1},
+        {"id": "e11", "participants": ["a", "b"], "end": 1},
+        {"id": "e12", "participants": ["a", "b"], "start": 0, "end": 1.0},
+    ]
+    data = json.dumps({"edges": records}).encode()
+    edges, report = read_network(data, strict=False)
+    assert [e.id for e in edges] == ["e1", "e8\U0001f600"]
+    assert list(report.skipped) == [
+        (1, "'start' must be an integer or ISO-8601 string"),
+        (2, "edge 'e3' has 1 participant(s), need >= 2"),
+        (3, "duplicate edge id 'e1'"),
+        (4, "duplicate participant"),
+        (5, "edge 'e5': start 2 > end 1"),
+        (6, "participants must be nonempty strings"),
+        (7, "edge 'e7': tick outside representable range"),
+        (8, "missing or empty 'id'"),
+        (10, "edge record must be an object"),
+        (11, "participants must be nonempty strings"),
+        (12, "missing 'start'"),
+        (13, "'end' must be an integer or ISO-8601 string"),
+    ]
+    for index, reason in report.skipped:
+        with pytest.raises(RecordInvalid) as err:
+            read_network(json.dumps({"edges": [records[0], records[index]]}).encode())
+        assert (err.value.index, err.value.reason) == (1, reason)
 
 
 @given(st.binary(max_size=400))

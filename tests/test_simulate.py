@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -10,6 +11,7 @@ from thd import (
     build_hypergraph,
     gen_desk_instance,
     gen_random,
+    hyperedge,
     run,
     write_results,
 )
@@ -170,6 +172,42 @@ def test_input_digest_order_independent(g1):
     assert input_digest(g1) == input_digest(shuffled)
     other = build_hypergraph(records[:2])
     assert input_digest(g1) != input_digest(other)
+
+
+def _input_digest_reference(h):
+    """input_digest as one json.dumps per edge; the fast digest must equal it."""
+    digest = hashlib.sha256()
+    for e in sorted(h.edges, key=lambda e: e.id):
+        digest.update(
+            json.dumps(
+                [e.id, sorted(e.participants), e.start, e.end],
+                separators=(",", ":"),
+                ensure_ascii=False,
+            ).encode("utf-8")
+        )
+    return digest.hexdigest()
+
+
+ODD_IDS = ['q"uote', "back\\slash", "tab\tnl\n\x00\x1f\x7f", "é", "ß\u2028", "😀", "a😀b", "</script>", "\\u0041"]
+ODD_TICKS = [(-(2**62), 2**62), (-5, -1), (0, 0), (-(2**62), -(2**62)), (2**62, 2**62), (-1, 7), (3, 3), (10**12, 10**15), (1, 2)]
+
+
+def test_input_digest_matches_reference(g1, g2):
+    # pinned, so that a change to both copies is still caught
+    assert input_digest(g1) == "de39f4be16fab9ffd4e6524dd0beaf0b479bcf0265df666717f0a760d59a9702"
+    odd = build_hypergraph(
+        [
+            hyperedge(edge_id, [edge_id, ODD_IDS[i - 1], "v"], start, end)
+            for i, (edge_id, (start, end)) in enumerate(zip(ODD_IDS, ODD_TICKS))
+        ]
+    )
+    networks = [g1, g2, odd, build_hypergraph([])]
+    networks += [
+        gen_random(GenParams(vertex_count=30, edge_count=90, max_participants=5, span=50, seed=s))
+        for s in range(5)
+    ]
+    for h in networks:
+        assert input_digest(h) == _input_digest_reference(h)
 
 
 def test_plan_digest_ignores_execution_knobs(g1):
