@@ -87,6 +87,7 @@ class _IncrementalReader:
         self.buf = ""
         self.pos = 0
         self.eof = False
+        self.dropped = 0  # characters trimmed off the buffer's front so far
 
     def _fill(self) -> None:
         if self.eof:
@@ -98,6 +99,7 @@ class _IncrementalReader:
         except UnicodeDecodeError as exc:
             raise MalformedJson(f"invalid UTF-8: {exc}") from None
         # drop the consumed text here, where the buffer is copied anyway
+        self.dropped += self.pos
         self.buf = self.buf[self.pos :] + text
         self.pos = 0
 
@@ -128,10 +130,11 @@ class _IncrementalReader:
                 val, end = self._decoder.raw_decode(self.buf, self.pos)
             except RecursionError:
                 raise MalformedJson("value nested too deeply") from None
-            except ValueError:
+            except ValueError as exc:
                 if self.eof:
-                    # the reader tracks no document offset; the text stays as callers know it
-                    raise MalformedJson("truncated or invalid JSON near offset 0") from None
+                    # a character offset; NaN and oversized ints carry no position
+                    offset = self.dropped + getattr(exc, "pos", self.pos)
+                    raise MalformedJson(f"truncated or invalid JSON near offset {offset}") from None
             else:
                 # a number at the buffer edge may continue in the next chunk
                 if end < len(self.buf) or self.eof:

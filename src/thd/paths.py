@@ -220,15 +220,24 @@ def foremost(
     return DistanceLabels(source, t0, Metric.FOREMOST, values, predecessors)
 
 
-def fastest_departure_candidates(h: TimeVaryingHypergraph, t0: Tick) -> list[Tick]:
+def fastest_departure_candidates(
+    h: TimeVaryingHypergraph, t0: Tick, horizon: Tick | None = None
+) -> list[Tick]:
     """Departure ticks that can be optimal for some walk, descending.
 
     A walk's duration is non-increasing in its departure until the
     departure passes the walk's earliest edge end; that bound is always
     some edge's end tick, so edge ends (clamped to ``>= t0``) plus ``t0``
-    itself cover every optimum.
+    itself cover every optimum. Under a horizon a walk whose earliest edge
+    end lies past it does best departing at the horizon itself, so each
+    candidate is clamped to ``max(horizon, t0)``, which keeps ``t0`` (and
+    so the source's own label) even under a horizon before it.
     """
-    return sorted({end for end in h.edge_ends if end >= t0} | {t0}, reverse=True)
+    cands = {end for end in h.edge_ends if end >= t0} | {t0}
+    if horizon is not None:
+        cap = max(horizon, t0)
+        cands = {min(tau, cap) for tau in cands}
+    return sorted(cands, reverse=True)
 
 
 def fastest(
@@ -240,21 +249,16 @@ def fastest(
 ) -> DistanceLabels:
     """Minimum duration (arrival minus departure) over departures ``>= t0``.
 
-    The earliest-arrival kernel swept over the candidate departures, largest
+    The earliest-arrival kernel swept over the candidate departures of
+    ``fastest_departure_candidates`` (clamped under a horizon), largest
     first: labels carry from one departure to the next, and only the
     vertices improved at a departure can improve their duration there.
-    Under a horizon the candidates are ``{t0} union {min(end, horizon) :
-    end >= t0}``: a walk whose earliest edge end lies past the horizon does
-    best departing at the horizon itself. The first (largest) departure
-    attaining a vertex's optimum supplies its witness walk.
+    The first (largest) departure attaining a vertex's optimum supplies
+    its witness walk.
     """
     src = h.index_of(source)
     ids = h.vertex_ids
-    departures = fastest_departure_candidates(h, t0)
-    if horizon is not None:
-        # clamped to t0 at least, so the source is labelled even under a horizon < t0
-        cap = max(horizon, t0)
-        departures = sorted({min(tau, cap) for tau in departures}, reverse=True)
+    departures = fastest_departure_candidates(h, t0, horizon)
     best: dict[int, Tick] = {}
     witness: dict[int, TemporalWalk] = {}
     last_hop: dict[int, tuple[str, str]] = {}

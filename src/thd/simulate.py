@@ -6,8 +6,8 @@ so serialized output is byte-identical for any parallelism degree. Long
 runs append completed sources to a checkpoint log bound to the exact
 input and plan by digest. Each record carries its own hash, so a flush
 writes only the sources completed since the last one, and a record torn
-by a crash is dropped on resume. A resumed run reuses completed sources
-verbatim and refuses to mix anything else.
+by a crash is dropped on resume. A resumed run decodes completed sources
+from their records and refuses to mix anything else.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .core import Tick, TimeVaryingHypergraph
@@ -87,19 +89,22 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class DiffusionResult:
-    """Per-source labels (ordered by source id, then metric) plus summary."""
+    """Per-source labels (ordered by source id, then metric) plus summary.
+
+    The labels are the only per-source form kept; ``to_document`` builds
+    each source's document from them on every call.
+    """
 
     labels: tuple[DistanceLabels, ...]
     summary: dict
     provenance: dict
-    _label_docs: tuple[dict, ...] = field(repr=False)
 
     def to_document(self) -> dict:
         return {
             "schema": 1,
             "kind": "thd-result",
             "provenance": self.provenance,
-            "sources": list(self._label_docs),
+            "sources": [_source_doc(g) for _, g in groupby(self.labels, attrgetter("source"))],
             "summary": self.summary,
         }
 
@@ -194,15 +199,16 @@ def plan_digest(plan: SimulationPlan) -> str:
 def compute_labels(
     h: TimeVaryingHypergraph, plan: SimulationPlan, source: str
 ) -> dict[Metric, DistanceLabels]:
-    """Labels of every planned metric from one source; the plan is not validated.
+    """Labels of every planned metric from one source, in ``METRIC_ORDER``.
 
-    The only place a metric selects its kernel. The kernels are looked up
-    as module attributes at call time, so a caller may rebind them.
+    The plan is not validated. The only place a metric selects its kernel.
+    The kernels are looked up as module attributes at call time, so a
+    caller may rebind them.
     """
     t0 = resolve_t0(h, plan, source)
     keep = plan.keep_predecessors
     out: dict[Metric, DistanceLabels] = {}
-    for m in plan.metrics:
+    for m in sorted(plan.metrics, key=METRIC_ORDER.index):
         if m is Metric.FOREMOST:
             out[m] = foremost(h, source, t0, plan.horizon, keep)
         elif m is Metric.SHORTEST:
@@ -222,47 +228,40 @@ def walk_doc(walk: TemporalWalk) -> dict:
     }
 
 
-def _walk_from_doc(source: str, doc: dict) -> TemporalWalk:
-    return TemporalWalk(
-        source,
-        doc["departure"],
-        tuple((e, v) for e, v in doc["hops"]),
-        tuple(doc["arrivals"]),
-    )
+def _source_doc(labels: Iterable[DistanceLabels]) -> dict:
+    """One source's document, as result files and checkpoint records carry it.
 
-
-def _source_doc(source: str, t0: Tick, labels: Mapping[Metric, DistanceLabels]) -> dict:
+    Built from that source's labels, one per metric, which give ``source``
+    and ``t0``; the document shares each values map instead of copying it.
+    """
     metrics_doc: dict[str, dict] = {}
-    for m in METRIC_ORDER:
-        if m not in labels:
-            continue
-        lab = labels[m]
-        entry: dict = {"values": dict(lab.values)}
+    for lab in labels:
+        entry: dict = {"values": lab.values}
         if lab.predecessors is not None:
             entry["predecessors"] = {v: list(p) for v, p in lab.predecessors.items()}
         if lab.witnesses is not None:
             entry["witnesses"] = {v: walk_doc(w) for v, w in lab.witnesses.items()}
-        metrics_doc[m.value] = entry
-    return {"source": source, "t0": t0, "metrics": metrics_doc}
+        metrics_doc[lab.metric.value] = entry
+    return {"source": lab.source, "t0": lab.t0, "metrics": metrics_doc}
 
 
 def _labels_from_doc(doc: dict) -> dict[Metric, DistanceLabels]:
+    """Decode a checkpoint record; a resumed source exists only in this form."""
     source = doc["source"]
     t0 = doc["t0"]
     out: dict[Metric, DistanceLabels] = {}
-    for mval, entry in doc["metrics"].items():
-        m = Metric(mval)
+    for m in sorted(map(Metric, doc["metrics"]), key=METRIC_ORDER.index):
+        entry = doc["metrics"][m.value]
         preds = entry.get("predecessors")
-        wits = entry.get("witnesses")
+        walks = entry.get("witnesses")
         out[m] = DistanceLabels(
-            source=source,
-            t0=t0,
-            metric=m,
-            values=dict(entry["values"]),
-            predecessors=None if preds is None else {v: (p[0], p[1]) for v, p in preds.items()},
-            witnesses=None
-            if wits is None
-            else {v: _walk_from_doc(source, w) for v, w in wits.items()},
+            source, t0, m, entry["values"],
+            None if preds is None else {v: tuple(p) for v, p in preds.items()},
+            None if walks is None else {
+                v: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
+                                tuple(w["arrivals"]))
+                for v, w in walks.items()
+            },
         )
     return out
 
@@ -329,6 +328,8 @@ def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, 
         raise CorruptCheckpoint(f"{path}: not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')!r}")
+    if not all(isinstance(header.get(k), str) for k in ("input_digest", "plan_digest")):
+        raise CorruptCheckpoint(f"{path}: header lacks its input and plan digests")
     docs: dict[str, dict] = {}
     while (end := raw.find(b"\n", pos) + 1) > 0:
         digest, _, body = raw[pos:end].partition(b" ")
@@ -343,15 +344,15 @@ def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, 
             raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
         docs[source] = doc
         pos = end
-    return str(header["input_digest"]), str(header["plan_digest"]), docs, pos, len(raw)
+    return header["input_digest"], header["plan_digest"], docs, pos, len(raw)
 
 
 def checkpoint_load(path: str | Path) -> tuple[str, str, dict[str, dict]]:
     """Read a checkpoint; returns (input digest, plan digest, source docs).
 
     An incomplete final record (a torn tail) is dropped. Raises
-    CorruptCheckpoint when the file is empty, has an unreadable or
-    unsupported header, or holds a complete record that fails its hash,
+    CorruptCheckpoint when the file is empty, has an unreadable,
+    unsupported or digest-less header, or holds a complete record that fails its hash,
     does not parse, or repeats a source.
     """
     in_digest, p_digest, docs, _, _ = _checkpoint_scan(path)
@@ -380,13 +381,6 @@ def aggregate(
     label values per metric, null when nothing was reached.
     """
     seen = set()
-    for labels in label_sets:
-        for lab in labels.values():
-            if lab.source in seen:
-                raise PlanInvalid(f"conflicting label sets for source {lab.source!r}")
-            seen.add(lab.source)
-            break
-
     per_source = []
     pooled: dict[Metric, list[int]] = {}
     for labels in label_sets:
@@ -399,6 +393,9 @@ def aggregate(
             entry["reached"][m.value] = len(lab.values)
             entry["ratio"][m.value] = len(lab.values) / vertex_count if vertex_count else 0.0
             pooled.setdefault(m, []).extend(lab.values.values())
+        if labels and entry["source"] in seen:
+            raise PlanInvalid(f"conflicting label sets for source {entry['source']!r}")
+        seen.add(entry["source"])
         per_source.append(entry)
 
     quantiles: dict[str, dict | None] = {}
@@ -426,17 +423,17 @@ def aggregate(
 _WORKER_STATE: tuple[TimeVaryingHypergraph, SimulationPlan] | None = None
 
 
-def _compute_source_doc(source: str) -> tuple[str, dict]:
+def _compute_labels(source: str) -> dict[Metric, DistanceLabels]:
+    """One source's labels as ``compute_labels`` returns them; no document is built."""
     assert _WORKER_STATE is not None
     h, plan = _WORKER_STATE
-    labels = compute_labels(h, plan, source)
-    return source, _source_doc(source, resolve_t0(h, plan, source), labels)
+    return compute_labels(h, plan, source)
 
 
-def _source_docs(
+def _source_labels(
     h: TimeVaryingHypergraph, plan: SimulationPlan, todo: Sequence[str]
-) -> Iterator[tuple[str, dict]]:
-    """Yield ``(source, doc)`` for ``todo`` in order, on a fork pool when parallel.
+) -> Iterator[dict[Metric, DistanceLabels]]:
+    """Yield the labels of each source of ``todo`` in order, on a fork pool when parallel.
 
     All sources are submitted to the pool up front; results come back in
     submission order, so callers see the same sequence for any parallelism.
@@ -448,9 +445,9 @@ def _source_docs(
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                yield from pool.map(_compute_source_doc, todo)
+                yield from pool.map(_compute_labels, todo)
         else:
-            yield from map(_compute_source_doc, todo)
+            yield from map(_compute_labels, todo)
     finally:
         _WORKER_STATE = None
 
@@ -469,6 +466,7 @@ def run(
     than mixing results. Sources are recorded in source-id order whatever
     the parallelism, and each flush appends the sources completed since
     the previous one, so the log always holds a source-order prefix.
+    Sources are kept as labels; a flush builds documents for its own batch.
     ``progress`` is invoked once per freshly computed source.
     """
     validate_plan(h, plan)
@@ -476,51 +474,45 @@ def run(
     in_digest = input_digest(h)
     p_digest = plan_digest(plan)
 
-    done: dict[str, dict] = {}
-    if plan.checkpoint_path and Path(plan.checkpoint_path).exists():
-        ck_in, ck_plan, docs, good_end, size = _checkpoint_scan(plan.checkpoint_path)
+    ck = plan.checkpoint_path
+    done: dict[str, dict[Metric, DistanceLabels]] = {}
+    if ck and Path(ck).exists():
+        ck_in, ck_plan, docs, good_end, size = _checkpoint_scan(ck)
         if ck_in != in_digest:
-            raise CheckpointMismatch(
-                f"{plan.checkpoint_path}: checkpoint was written for a different input"
-            )
+            raise CheckpointMismatch(f"{ck}: checkpoint was written for a different input")
         if ck_plan != p_digest:
-            raise CheckpointMismatch(
-                f"{plan.checkpoint_path}: checkpoint was written for a different plan"
-            )
+            raise CheckpointMismatch(f"{ck}: checkpoint was written for a different plan")
         if good_end < size:
             # later appends must start on a record boundary
-            os.truncate(plan.checkpoint_path, good_end)
+            os.truncate(ck, good_end)
             log.warning(
                 "checkpoint: dropped a torn tail of %d bytes (1 incomplete record)",
                 size - good_end,
             )
         planned = set(sources)
-        done = {s: d for s, d in docs.items() if s in planned}
+        # each record is decoded once, here, and its document dropped
+        done = {s: _labels_from_doc(docs.pop(s)) for s in list(docs) if s in planned}
         log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
 
     todo = [s for s in sources if s not in done]
-    batch: dict[str, dict] = {}
+    flushed = 0
     # closing() shuts the pool down at once when the loop body raises
-    with closing(_source_docs(h, plan, todo)) as stream:
-        for n, (source, doc) in enumerate(stream, 1):
-            done[source] = batch[source] = doc
+    with closing(_source_labels(h, plan, todo)) as stream:
+        for n, (source, labels) in enumerate(zip(todo, stream), 1):
+            done[source] = labels
             if progress is not None:
                 progress(source)
-            if plan.checkpoint_path and (n % plan.checkpoint_interval == 0 or n == len(todo)):
-                checkpoint_write(plan.checkpoint_path, in_digest, p_digest, batch)
-                batch = {}
+            if ck and (n % plan.checkpoint_interval == 0 or n == len(todo)):
+                docs = {s: _source_doc(done[s].values()) for s in todo[flushed:n]}
+                checkpoint_write(ck, in_digest, p_digest, docs)
+                flushed = n
 
-    label_docs = tuple(done[s] for s in sources)
-    label_sets = [_labels_from_doc(d) for d in label_docs]
-    flat: list[DistanceLabels] = []
-    for labels in label_sets:
-        for m in METRIC_ORDER:
-            if m in labels:
-                flat.append(labels[m])
+    label_sets = [done[s] for s in sources]
     summary = aggregate(label_sets, h.vertex_count)
     provenance = {
         "input_digest": in_digest,
         "plan": plan.to_document(),
         "tool_version": __version__,
     }
-    return DiffusionResult(tuple(flat), summary, provenance, label_docs)
+    flat = tuple(lab for labels in label_sets for lab in labels.values())
+    return DiffusionResult(flat, summary, provenance)

@@ -203,6 +203,15 @@ def test_simulate_version_1_checkpoint_exits_1(g1_file, tmp_path, capsys):
     assert "error:" in err and "unsupported version 1" in err
 
 
+def test_simulate_checkpoint_header_without_digests_exits_1(g1_file, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    ck.write_bytes(b'{"kind":"thd-checkpoint","version":2}\n')
+    out = tmp_path / "r.json"
+    assert main(["simulate", g1_file, "-o", str(out), "--t0", "0", "--checkpoint", str(ck)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "lacks its input and plan digests" in err
+
+
 def test_thd_threads_env_sets_default(g1_file, tmp_path, monkeypatch):
     monkeypatch.setenv("THD_THREADS", "2")
     out = tmp_path / "r.json"

@@ -188,6 +188,25 @@ class _ShortReads:
         return chunk
 
 
+def test_malformed_offset_is_document_offset_at_any_read_size():
+    records = [
+        {"id": f"e{i}", "participants": [f"v{i}", "\u00e9" * (1 + i % 50)], "start": i, "end": i + 2}
+        for i in range(1500)
+    ]
+    text = json.dumps({"schema": 1, "edges": records}, separators=(",", ":"), ensure_ascii=False)
+    invalid = text.replace('"start":1200,', '"start":@,')
+    truncated = text[: text.index('"id":"e1000"') + 8]
+    for doc in (invalid, truncated):
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(doc)
+        offset = whole.value.pos  # a character offset, past the first 64 KiB chunk
+        assert offset > 64 * 1024
+        for step in (1, 64 * 1024):
+            with pytest.raises(MalformedJson) as err:
+                read_network(_ShortReads(doc.encode(), step))
+            assert str(err.value) == f"truncated or invalid JSON near offset {offset}"
+
+
 def _edge_tuples(edges):
     return [(e.id, e.participants, e.start, e.end) for e in edges]
 

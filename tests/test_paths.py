@@ -428,6 +428,12 @@ def test_fastest_departure_candidates_contract():
             cands = fastest_departure_candidates(h, t0)
             assert cands == sorted(set(cands), reverse=True)
             assert set(cands) == {t0} | {end for end in h.edge_ends if end >= t0}
+            assert fastest_departure_candidates(h, t0, None) == cands
+            for horizon in (t0 - 1, t0, t0 + 7, 40):
+                cap = max(horizon, t0)
+                clamped = fastest_departure_candidates(h, t0, horizon)
+                assert clamped == sorted(set(clamped), reverse=True)
+                assert set(clamped) == {t0} | {min(end, cap) for end in h.edge_ends if end >= t0}
 
 
 # The hop-layered shortest without the per-edge delivered skip or the

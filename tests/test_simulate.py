@@ -273,6 +273,18 @@ def test_checkpoint_version_1_refused(tmp_path):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("missing", ["input_digest", "plan_digest"])
+def test_checkpoint_header_without_digest_refused(tmp_path, missing):
+    path = tmp_path / "ck"
+    checkpoint_write(path, "i", "p", _empty_docs("ab"))
+    header, _, records = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    del doc[missing]
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+    with pytest.raises(CorruptCheckpoint, match="lacks its input and plan digests"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_mismatch_refused(tmp_path, g1, g2):
     plan = SimulationPlan(t0=0, checkpoint_path=str(tmp_path / "ck"), checkpoint_interval=1)
     run(g1, plan)
@@ -392,6 +404,38 @@ def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
     result = run(h, plan, progress=recomputed.append)
     assert len(recomputed) == h.vertex_count - len(flushed)
     assert write_results(result) == baseline
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, parallelism):
+    # resumed sources come back from their checkpoint records: predecessors,
+    # witness walks and per-source t0 must survive the round trip exactly
+    h = small_net(seed=16)
+    metrics = (Metric.FASTEST, Metric.FOREMOST, Metric.SHORTEST)
+    fresh = run(h, SimulationPlan(metrics=metrics, keep_predecessors=True))
+    plan = SimulationPlan(
+        metrics=metrics, keep_predecessors=True, parallelism=parallelism,
+        checkpoint_path=str(tmp_path / "ck"), checkpoint_interval=3,
+    )
+    seen = []
+
+    def tripwire(source):
+        seen.append(source)
+        if len(seen) >= 10:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run(h, plan, progress=tripwire)
+    assert sorted(checkpoint_load(plan.checkpoint_path)[2]) == list(h.vertex_ids[:9])
+
+    recomputed = []
+    resumed = run(h, plan, progress=recomputed.append)
+    assert recomputed == list(h.vertex_ids[9:])
+    assert write_results(resumed, "json") == write_results(fresh, "json")
+    assert write_results(resumed, "csv") == write_results(fresh, "csv")
+    assert resumed.labels == fresh.labels
+    assert resumed.summary == fresh.summary
+    assert any(lab.witnesses for lab in resumed.labels)
 
 
 def test_completed_checkpoint_short_circuits(tmp_path):
