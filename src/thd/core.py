@@ -108,6 +108,8 @@ class TimeVaryingHypergraph:
     edge_members: tuple[tuple[int, ...], ...] = field(repr=False)
     # per-vertex edge indexes, ascending (start, edge id)
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
+    # every edge index, ascending (start, edge id): the foremost scan order
+    edge_order: tuple[int, ...] = field(repr=False)
     _vertex_index: Mapping[str, int] = field(repr=False)
 
     @property
@@ -147,7 +149,8 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
     lexicographic order. The incidence index lists each (vertex, edge)
     membership exactly once, sorted ascending by edge start with ties
     broken by edge id, so iteration order is deterministic for any
-    input order of equal records.
+    input order of equal records; ``edge_order`` lists every edge in
+    that same order.
 
     Raises DuplicateEdgeId, InvalidInterval, TooFewParticipants, or
     InvalidVertexId on the first offending record.
@@ -185,6 +188,7 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
         edge_ends=edge_ends,
         edge_members=edge_members,
         incidence=tuple(map(tuple, incidence_lists)),
+        edge_order=tuple(order),
         _vertex_index=vertex_index,
     )
 

@@ -92,8 +92,15 @@ class _IncrementalReader:
     def _fill(self) -> None:
         if self.eof:
             return
-        chunk = self._stream.read(_CHUNK)
-        self.eof = not chunk
+        # a full chunk, as BufferedReader.read gives: a short read must not
+        # make the next raw_decode restart a long value for a few bytes
+        chunk = bytearray()
+        while len(chunk) < _CHUNK:
+            part = self._stream.read(_CHUNK - len(chunk))
+            if not part:
+                self.eof = True
+                break
+            chunk += part
         try:
             text = self._utf8.decode(chunk, final=self.eof)
         except UnicodeDecodeError as exc:
@@ -130,11 +137,15 @@ class _IncrementalReader:
                 val, end = self._decoder.raw_decode(self.buf, self.pos)
             except RecursionError:
                 raise MalformedJson("value nested too deeply") from None
-            except ValueError as exc:
+            except json.JSONDecodeError as exc:
                 if self.eof:
-                    # a character offset; NaN and oversized ints carry no position
-                    offset = self.dropped + getattr(exc, "pos", self.pos)
+                    offset = self.dropped + exc.pos  # a character offset
                     raise MalformedJson(f"truncated or invalid JSON near offset {offset}") from None
+            except ValueError as exc:
+                # a non-finite constant or an oversized int: more text cannot
+                # mend it, and the decoder gives no position but the value's
+                offset = self.dropped + self.pos
+                raise MalformedJson(f"invalid JSON value at offset {offset}: {exc}") from None
             else:
                 # a number at the buffer edge may continue in the next chunk
                 if end < len(self.buf) or self.eof:

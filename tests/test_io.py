@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -188,7 +189,7 @@ class _ShortReads:
         return chunk
 
 
-def test_malformed_offset_is_document_offset_at_any_read_size():
+def test_malformed_offset_is_document_offset_at_any_read_size(monkeypatch):
     records = [
         {"id": f"e{i}", "participants": [f"v{i}", "\u00e9" * (1 + i % 50)], "start": i, "end": i + 2}
         for i in range(1500)
@@ -201,10 +202,65 @@ def test_malformed_offset_is_document_offset_at_any_read_size():
             json.loads(doc)
         offset = whole.value.pos  # a character offset, past the first 64 KiB chunk
         assert offset > 64 * 1024
-        for step in (1, 64 * 1024):
+        # 1-byte chunks refill inside every value and every UTF-8 sequence;
+        # 1-byte reads are gathered into whole 64 KiB chunks
+        for chunk, step in ((1, 1), (64 * 1024, 1), (64 * 1024, 64 * 1024)):
+            monkeypatch.setattr(thd_io, "_CHUNK", chunk)
             with pytest.raises(MalformedJson) as err:
                 read_network(_ShortReads(doc.encode(), step))
             assert str(err.value) == f"truncated or invalid JSON near offset {offset}"
+
+
+def _too_many_digits():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return "9" * (limit + 1) if limit else None
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("NaN", "non-finite number 'NaN'"),
+        ("-Infinity", "non-finite number '-Infinity'"),
+        (_too_many_digits(), "integer string conversion"),
+    ],
+    ids=["nan", "-infinity", "digits"],
+)
+def test_value_more_text_cannot_mend_fails_at_once(value, reason):
+    if value is None:
+        pytest.skip("this interpreter has no int digit limit")
+    records = [{"id": f"e{i}", "participants": ["a", "b"], "start": 0, "end": i} for i in range(20_000)]
+    head = '{"edges":[{"id":"e","participants":["a","b"],"start":1,"end":%s},' % value
+    data = (head + json.dumps(records)[1:] + "}").encode()
+    assert len(data) > 10 * thd_io._CHUNK
+    stream = _ShortReads(data, len(data))
+    with pytest.raises(MalformedJson) as err:
+        read_network(stream)
+    assert str(err.value).startswith("invalid JSON value at offset 10: ")
+    assert reason in str(err.value)
+    assert stream._pos <= thd_io._CHUNK  # not "truncated" after reading it all
+
+
+def test_short_reads_refill_whole_chunks(monkeypatch):
+    # a refill re-decodes the value it stopped in from its first character,
+    # so one refill per short read would cost time quadratic in its length
+    records = [
+        {"id": f"e{i}", "participants": [f"v{i}", "w" * (1 + i % 200)], "start": i, "end": i + 1}
+        for i in range(1200)
+    ]
+    data = json.dumps({"schema": 1, "edges": records}).encode()
+    assert len(data) > 2 * thd_io._CHUNK
+    expected = _edge_tuples(read_network(data)[0])
+    fills = []
+    fill = thd_io._IncrementalReader._fill
+
+    def counting_fill(reader):
+        fills.append(len(reader.buf))
+        fill(reader)
+
+    monkeypatch.setattr(thd_io._IncrementalReader, "_fill", counting_fill)
+    edges, _ = read_network(_ShortReads(data, 1))
+    assert _edge_tuples(edges) == expected
+    assert len(fills) <= len(data) // thd_io._CHUNK + 2
 
 
 def _edge_tuples(edges):
@@ -242,12 +298,13 @@ def test_document_larger_than_value_limit_parses(monkeypatch):
     assert _edge_tuples(edges)[-1] == ("e19999", frozenset({"v17", "w63"}), 19999, 20002)
 
 
-def test_whitespace_and_chunk_boundaries_parse_alike():
+def test_whitespace_and_chunk_boundaries_parse_alike(monkeypatch):
     records = [
         {"id": f"e{i}", "participants": [f"v{i}", f"v{i + 1}", "p" * (1 + i % 300)], "start": -i, "end": i * 7}
         for i in range(1500)
     ]
-    doc = {"schema": 1, "name": "ws", "edges": records}
+    # an unknown top-level number, decoded on its own, may end at a chunk edge
+    doc = {"count": 123456789, "schema": 1, "name": "ws", "edges": records}
     compact = json.dumps(doc, separators=(",", ":")).encode()
     assert len(compact) > 3 * 64 * 1024
     expected, _ = read_network(compact)
@@ -259,7 +316,10 @@ def test_whitespace_and_chunk_boundaries_parse_alike():
     ]
     for data in spaced:
         assert _edge_tuples(read_network(data)[0]) == _edge_tuples(expected)
-    for step in (3, 64 * 1024 - 1):
+    # 3-byte chunks refill inside every value; 2-byte reads are gathered
+    # into whole chunks
+    for chunk, step in ((3, 2), (64 * 1024 - 1, 64 * 1024 - 1)):
+        monkeypatch.setattr(thd_io, "_CHUNK", chunk)
         for data in (compact, spaced[1]):
             edges, _ = read_network(_ShortReads(data, step))
             assert _edge_tuples(edges) == _edge_tuples(expected)

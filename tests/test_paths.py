@@ -26,7 +26,7 @@ from thd.errors import (
     Unreached,
     UnknownVertex,
 )
-from thd.paths import DistanceLabels, Metric, fastest_departure_candidates
+from thd.paths import DistanceLabels, Metric, _earliest_arrivals, fastest_departure_candidates
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -210,6 +210,63 @@ def test_foremost_matches_pinned_digest_seeded():
                 values_only = foremost(h, source, t0, horizon, keep_predecessors=False)
                 assert values_only.values == labels.values
     assert digest.hexdigest() == FOREMOST_DIGEST
+
+
+def _foremost_by_heap(h, source, t0, horizon, keep_predecessors):
+    """Foremost values and predecessors from fastest's heap kernel at the one departure t0."""
+    src = h.index_of(source)
+    _, reached, arrival, pred_edge, pred_prior = next(_earliest_arrivals(h, src, (t0,), horizon))
+    ids = h.vertex_ids
+    reached = sorted(reached)
+    values = {ids[v]: arrival[v] for v in reached}
+    if not keep_predecessors:
+        return values, None
+    edges = h.edges
+    return values, {
+        ids[v]: (edges[pred_edge[v]].id, ids[pred_prior[v]]) for v in reached if v != src
+    }
+
+
+def test_foremost_scan_matches_heap_kernel_seeded():
+    rng = random.Random(10)
+    for _ in range(60):
+        vertex_count = rng.randint(4, 40)
+        params = GenParams(
+            vertex_count=vertex_count,
+            edge_count=rng.randint(vertex_count, 150),
+            span=rng.choice((3, 10, 30, 100, 1000)),  # short spans make ties dense
+            max_length=rng.randint(0, 50),
+            seed=rng.randrange(10**6),
+        )
+        h = gen_random(params)
+        first, last = min(h.edge_starts), max(h.edge_ends)
+        for source in rng.sample(h.vertex_ids, 4):
+            for t0 in (first - 2, rng.randint(first, last), last + 1):
+                for horizon in (None, t0 + rng.randint(0, params.span), t0 - 1):
+                    for keep in (True, False):
+                        labels = foremost(h, source, t0, horizon, keep)
+                        got = (labels.values, labels.predecessors)
+                        assert got == _foremost_by_heap(h, source, t0, horizon, keep)
+                        if horizon is not None and horizon < t0:
+                            assert labels.values == {source: t0}
+
+
+def test_foremost_applies_a_tie_at_the_tick_that_settles_every_vertex():
+    # at tick 5, edge b from p reaches v, the last vertex reached; settling q
+    # at 5 then relaxes edge a, which ties at v and wins on its smaller id
+    h = build_hypergraph(
+        [
+            hyperedge("x1", ["s", "p"], 1, 1),
+            hyperedge("a", ["q", "v"], 2, 9),
+            hyperedge("b", ["p", "v"], 5, 5),
+            hyperedge("x2", ["s", "q"], 5, 5),
+            hyperedge("late", ["s", "v"], 8, 8),
+        ]
+    )
+    labels = foremost(h, "s", 0)
+    assert labels.values == {"p": 1, "q": 5, "s": 0, "v": 5}
+    assert labels.predecessors == {"p": ("x1", "s"), "q": ("x2", "s"), "v": ("a", "q")}
+    assert (labels.values, labels.predecessors) == _foremost_by_heap(h, "s", 0, None, True)
 
 
 def test_horizon_prunes_labels(g1):
