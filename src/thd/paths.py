@@ -26,19 +26,14 @@ Three notions of minimal distance from a source:
 * fastest - smallest duration (arrival minus departure), minimized over
   all departures ``tau >= t0``. For a fixed walk the arrival equals
   ``max(tau, latest edge start)`` and feasibility caps ``tau`` at the
-  walk's earliest edge end, so the optimum departure of any walk is the
-  minimum end over its edges, and ``{t0} union {end(e) >= t0}`` covers
-  every optimum. A horizon caps ``tau`` as well (the walk arrives no
-  earlier than it departs), so under a horizon the optimum is the smaller
-  of that end and the horizon, and the candidates are
-  ``{t0} union {min(end(e), horizon) : end(e) >= t0}``. A walk feasible
-  from ``tau'`` stays feasible from any ``tau < tau'`` and arrives no
-  later, so fastest's earliest-arrival kernel, a label-setting heap pass
-  generalizing Dijkstra, sweeps those candidates in descending order and
-  carries its labels across departures. It keeps the heap rather than
-  foremost's scan: a scan costs the edges from a departure to its last
-  arrival, paid again at each of thousands of departures, while the heap
-  pass expands only the vertices a departure improves.
+  walk's minimum edge end, so a walk does best departing at that end (or
+  at the horizon, if earlier) and lasts ``max(0, latest start - minimum
+  end)``. Among walks that reach a vertex by a given tick, the one with
+  the largest minimum end is therefore best there and extends best. So
+  one scan over the edges in start order, like foremost's, carries for
+  each vertex the largest minimum end reached so far, and takes each
+  vertex's duration when that value rises: the one-pass fastest path of
+  Wu et al. (PVLDB 2014), with no sweep over departures.
 
 Unreached vertices are absent from the label maps; the sentinels of the
 kernel's internal arrays never reach them.
@@ -46,11 +41,11 @@ kernel's internal arrays never reach them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .core import MAX_TICK, MIN_TICK, Tick, TimeVaryingHypergraph
 from .errors import InfeasibleWalk, NonPositiveMaxHops, PathsError, Unreached
@@ -120,84 +115,11 @@ class DistanceLabels:
 
 
 # --------------------------------------------------------------------------
-# earliest arrival: foremost's scan and fastest's heap pass
+# foremost and fastest: time-ordered scans over the hyperedges
 # --------------------------------------------------------------------------
 
 NEVER: Tick = MAX_TICK + 1  # no arrival, or no delivery over an edge, yet
-SPENT: Tick = MIN_TICK - 1  # the edge delivered at its own start: never earlier
-
-
-def _earliest_arrivals(
-    h: TimeVaryingHypergraph,
-    src: int,
-    departures: Iterable[Tick],
-    horizon: Tick | None,
-) -> Iterator[tuple[Tick, list[int], list[Tick], list[int], list[int]]]:
-    """Earliest arrivals from ``src`` over strictly descending departures.
-
-    The kernel of ``fastest``; ``foremost`` runs its own scan, which
-    settles vertices and relaxes edges in the order a single departure
-    here would. After each departure ``tau`` yields ``(tau, improved,
-    arrival, pred_edge, pred_prior)``: the vertex indices whose arrival
-    strictly dropped at ``tau`` (the source included), in expansion order,
-    and the arrival tick and last hop (edge index, prior vertex index) of
-    every vertex, shared and carried from one departure to the next. Unreached
-    vertices hold ``NEVER`` and ``-1``, as the source's last hop does.
-
-    Each departure is a label-setting heap pass that expands only the
-    vertices it improves. An edge is relaxed only when it would deliver
-    strictly earlier than it last did, so at a single departure every edge
-    is relaxed at most once. On an equal arrival the smallest ``(edge id,
-    prior id)`` becomes the predecessor. Only vertices not yet expanded at
-    ``tau`` can tie, apart from ``u`` itself: once a vertex is expanded,
-    each of its edges has delivered no later than its arrival, or closed,
-    and later expansions arrive no earlier. So no chain passes through a
-    descendant.
-    """
-    ids = h.vertex_ids
-    edges = h.edges
-    starts = h.edge_starts
-    ends = h.edge_ends
-    members = h.edge_members
-    incidence = h.incidence
-    limit = MAX_TICK if horizon is None else horizon
-
-    arrival: list[Tick] = [NEVER] * len(ids)
-    pred_edge: list[int] = [-1] * len(ids)
-    pred_prior: list[int] = [-1] * len(ids)
-    # what each edge delivered last: its members already arrive no later
-    delivered: list[Tick] = [NEVER] * len(edges)
-    for tau in departures:
-        arrival[src] = tau
-        improved: list[int] = []
-        heap: list[tuple[Tick, int]] = [(tau, src)]
-        while heap:
-            a_u, u = heappop(heap)
-            if a_u > arrival[u]:
-                continue
-            improved.append(u)
-            for ei in incidence[u]:
-                if delivered[ei] <= a_u or ends[ei] < a_u:
-                    continue
-                if a_u > starts[ei]:
-                    arr = delivered[ei] = a_u
-                else:
-                    arr = starts[ei]
-                    delivered[ei] = SPENT
-                if arr > limit:
-                    continue
-                for v in members[ei]:
-                    a_v = arrival[v]
-                    if arr < a_v:
-                        arrival[v] = arr
-                        pred_edge[v] = ei
-                        pred_prior[v] = u
-                        heappush(heap, (arr, v))
-                    elif arr == a_v and v != u:
-                        if (edges[ei].id, ids[u]) < (edges[pred_edge[v]].id, ids[pred_prior[v]]):
-                            pred_edge[v] = ei
-                            pred_prior[v] = u
-        yield tau, improved, arrival, pred_edge, pred_prior
+NONE_YET: Tick = MIN_TICK - 1  # no walk's minimum edge end, or none carried over an edge, yet
 
 
 def foremost(
@@ -216,9 +138,9 @@ def foremost(
     delivers ``s``, relaxed by that member of lowest settle rank. It then
     settles the vertices reached at ``s``, smallest index first; each one
     relaxes its edges with ``start <= s <= end`` that no member has
-    relaxed yet. That is the order in which the heap pass of
-    ``_earliest_arrivals`` settles vertices and relaxes edges, so the
-    ``(edge id, prior id)`` tie rule picks the same predecessors. The scan
+    relaxed yet. That is the order in which a label-setting heap pass
+    over arrivals settles vertices and relaxes edges, so the ``(edge id,
+    prior id)`` tie rule picks the same predecessors. The scan
     stops at the first edge starting past the horizon, or once every
     vertex is settled and the tick that settled the last one is done.
     Arrivals beyond the horizon are discarded. Raises UnknownVertex if the
@@ -317,13 +239,15 @@ def fastest_departure_candidates(
 ) -> list[Tick]:
     """Departure ticks that can be optimal for some walk, descending.
 
-    A walk's duration is non-increasing in its departure until the
-    departure passes the walk's earliest edge end; that bound is always
-    some edge's end tick, so edge ends (clamped to ``>= t0``) plus ``t0``
-    itself cover every optimum. Under a horizon a walk whose earliest edge
-    end lies past it does best departing at the horizon itself, so each
-    candidate is clamped to ``max(horizon, t0)``, which keeps ``t0`` (and
-    so the source's own label) even under a horizon before it.
+    ``fastest`` needs none of them; they serve the per-departure reference
+    in the tests and the benchmark's count of departures. A walk's
+    duration is non-increasing in its departure until the departure passes
+    the walk's earliest edge end; that bound is always some edge's end
+    tick, so edge ends (clamped to ``>= t0``) plus ``t0`` itself cover
+    every optimum. Under a horizon a walk whose earliest edge end lies
+    past it does best departing at the horizon itself, so each candidate
+    is clamped to ``max(horizon, t0)``, which keeps ``t0`` (and so the
+    source's own label) even under a horizon before it.
     """
     cands = {end for end in h.edge_ends if end >= t0} | {t0}
     if horizon is not None:
@@ -341,45 +265,142 @@ def fastest(
 ) -> DistanceLabels:
     """Minimum duration (arrival minus departure) over departures ``>= t0``.
 
-    The earliest-arrival kernel swept over the candidate departures of
-    ``fastest_departure_candidates`` (clamped under a horizon), largest
-    first: labels carry from one departure to the next, and only the
-    vertices improved at a departure can improve their duration there.
-    The first (largest) departure attaining a vertex's optimum supplies
-    its witness walk.
+    One scan over the edges in ``(start, edge id)`` order from ``t0``, as
+    foremost's. Each vertex keeps ``M``, the largest minimum edge end over
+    the walks that have reached it so far (``NEVER`` at the source). At
+    each tick the edges opening there carry ``min(M, end)`` from their
+    member of largest ``M``; then the vertices whose ``M`` rose are popped,
+    largest first, and carry their ``M`` over their open edges until
+    nothing rises. An edge carries only values above its last one. A
+    popped vertex offers ``max(0, tick - M)`` and keeps the first strict
+    improvement; its witness is the chain of rises behind it, departing at
+    the chain's minimum end or at the horizon, whichever is earlier. The
+    source's empty walk departs at the latest departure any walk could
+    use. The scan stops at the first edge starting past the horizon.
     """
     src = h.index_of(source)
     ids = h.vertex_ids
-    departures = fastest_departure_candidates(h, t0, horizon)
-    best: dict[int, Tick] = {}
-    witness: dict[int, TemporalWalk] = {}
-    last_hop: dict[int, tuple[str, str]] = {}
-    for tau, improved, arrival, pred_edge, pred_prior in _earliest_arrivals(
-        h, src, departures, horizon
-    ):
-        # a vertex not improved kept its arrival, so its duration only grew
-        for v in improved:
-            if v in best and arrival[v] - tau >= best[v]:
-                continue
-            best[v] = arrival[v] - tau
-            if keep_predecessors:
-                # links stay tight (an earlier arrival at a link's tail
-                # re-relaxes its edge), so carried arrivals replay from tau
-                chain, w = [], v
-                while w != src:
-                    chain.append(w)
-                    w = pred_prior[w]
-                chain.reverse()
-                hops = tuple((h.edges[pred_edge[w]].id, ids[w]) for w in chain)
-                witness[v] = TemporalWalk(source, tau, hops, tuple(arrival[w] for w in chain))
-                if hops:
-                    last_hop[v] = (hops[-1][0], ids[pred_prior[v]])
+    edges = h.edges
+    starts = h.edge_starts
+    ends = h.edge_ends
+    members = h.edge_members
+    order = h.edge_order
+    limit = MAX_TICK if horizon is None else horizon
+    n = len(ids)
 
-    values = {ids[v]: d for v, d in sorted(best.items())}
+    reach: list[Tick] = [NONE_YET] * n  # M of each vertex
+    reach[src] = NEVER
+    carried: list[Tick] = [NONE_YET] * len(edges)
+    best: list[Tick] = [NEVER] * n
+    best[src] = 0
+    # one event per rise, for witnesses: (edge, vertex, the relaxer's
+    # latest event), where -1 stands for the source
+    events: list[tuple[int, int, int]] = []
+    latest: list[int] = [-1] * n
+    best_event: list[int] = [-1] * n
+    # each vertex's opened edges, less those found closed when it popped
+    open_at: list[list[int]] = [[] for _ in range(n)]
+    tick = t0
+    heap = [(-NEVER, src)] if t0 <= limit else []
+    pos = bisect_right(order, t0, key=starts.__getitem__)
+    for ei in order[:pos]:
+        if ends[ei] >= t0:
+            for w in members[ei]:
+                open_at[w].append(ei)
+    last = len(order)
+    while True:
+        # pop the vertices whose M rose at `tick`, largest M first
+        while heap:
+            m, u = heappop(heap)
+            m = -m
+            if m < reach[u]:
+                continue  # stale: u rose again
+            d = tick - m if tick > m else 0
+            if d < best[u]:
+                best[u] = d
+                best_event[u] = latest[u]
+            pe = latest[u]
+            edges_open = open_at[u]
+            kept = 0
+            for ei in edges_open:
+                end = ends[ei]
+                if end < tick:
+                    continue  # closed for good: dropped below
+                edges_open[kept] = ei
+                kept += 1
+                val = m if m < end else end
+                if val <= carried[ei]:
+                    continue
+                carried[ei] = val
+                for v in members[ei]:
+                    if val > reach[v]:
+                        reach[v] = val
+                        heappush(heap, (-val, v))
+                        if keep_predecessors:
+                            latest[v] = len(events)
+                            events.append((ei, v, pe))
+            del edges_open[kept:]
+        if pos == last:
+            break
+        tick = starts[order[pos]]
+        if tick > limit:
+            break
+        # edges opening at `tick` carry from their member of largest M
+        while pos < last and starts[ei := order[pos]] == tick:
+            pos += 1
+            m, u = NONE_YET, -1
+            for w in members[ei]:
+                if reach[w] > m:
+                    m, u = reach[w], w
+                open_at[w].append(ei)
+            end = ends[ei]
+            val = m if m < end else end
+            if val <= carried[ei]:
+                continue  # no member reached yet
+            carried[ei] = val
+            pe = latest[u]
+            # the delivery above, inlined as in foremost
+            for v in members[ei]:
+                if val > reach[v]:
+                    reach[v] = val
+                    heappush(heap, (-val, v))
+                    if keep_predecessors:
+                        latest[v] = len(events)
+                        events.append((ei, v, pe))
+
+    values = {ids[v]: d for v, d in enumerate(best) if d != NEVER}
     if not keep_predecessors:
         return DistanceLabels(source, t0, Metric.FASTEST, values, None)
-    predecessors = {ids[v]: p for v, p in sorted(last_hop.items())}
-    witnesses = {ids[v]: w for v, w in sorted(witness.items())}
+    stay = max(t0, min(max(ends), limit))
+    predecessors: dict[str, tuple[str, str]] = {}
+    witnesses: dict[str, TemporalWalk] = {}
+    # the walk of each event, built once and shared by the chains through
+    # it: its hops, the running maximum of its starts and its minimum end;
+    # the extra last slot, read as event -1, holds the source's empty walk
+    walk_of: list[tuple | None] = [None] * len(events) + [((), (), NEVER)]
+    for v, ev in enumerate(best_event):
+        if best[v] == NEVER:
+            continue
+        chain: list[int] = []
+        while walk_of[ev] is None:
+            chain.append(ev)
+            ev = events[ev][2]
+        hops, tops, low = walk_of[ev]
+        while chain:
+            ev = chain.pop()
+            ei, w, _ = events[ev]
+            hops += ((edges[ei].id, ids[w]),)
+            tops += (max(tops[-1], starts[ei]) if tops else starts[ei],)
+            low = min(low, ends[ei])
+            walk_of[ev] = hops, tops, low
+        if not hops:
+            witnesses[source] = TemporalWalk(source, stay, (), ())
+            continue
+        # departing at `tau`, each hop arrives at the larger of `tau` and `top`
+        tau = low if low < limit else limit
+        k = bisect_left(tops, tau)
+        witnesses[ids[v]] = TemporalWalk(source, tau, hops, (tau,) * k + tops[k:])
+        predecessors[ids[v]] = (hops[-1][0], hops[-2][1] if len(hops) > 1 else source)
     return DistanceLabels(source, t0, Metric.FASTEST, values, predecessors, witnesses)
 
 

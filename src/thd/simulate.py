@@ -17,6 +17,8 @@ import json
 import logging
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -430,6 +432,18 @@ def _compute_labels(source: str) -> dict[Metric, DistanceLabels]:
     return compute_labels(h, plan, source)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a killed parent cannot shut its pool down, so each
+    worker exits by itself once ``parent`` is gone instead of idling on."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _source_labels(
     h: TimeVaryingHypergraph, plan: SimulationPlan, todo: Sequence[str]
 ) -> Iterator[dict[Metric, DistanceLabels]]:
@@ -444,7 +458,9 @@ def _source_labels(
         workers = min(plan.parallelism, len(todo))
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            with ProcessPoolExecutor(
+                workers, ctx, initializer=_exit_with_parent, initargs=(os.getpid(),)
+            ) as pool:
                 yield from pool.map(_compute_labels, todo)
         else:
             yield from map(_compute_labels, todo)

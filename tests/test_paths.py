@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from heapq import heappop, heappush
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -18,7 +20,7 @@ from thd import (
     validate_walk,
     walk_metric_value,
 )
-from thd.core import Tick, TimeVaryingHypergraph
+from thd.core import MAX_TICK, MIN_TICK, Tick, TimeVaryingHypergraph
 from thd.errors import (
     InfeasibleWalk,
     NonPositiveMaxHops,
@@ -26,7 +28,7 @@ from thd.errors import (
     Unreached,
     UnknownVertex,
 )
-from thd.paths import DistanceLabels, Metric, _earliest_arrivals, fastest_departure_candidates
+from thd.paths import NEVER, DistanceLabels, Metric, fastest_departure_candidates
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -210,6 +212,84 @@ def test_foremost_matches_pinned_digest_seeded():
                 values_only = foremost(h, source, t0, horizon, keep_predecessors=False)
                 assert values_only.values == labels.values
     assert digest.hexdigest() == FOREMOST_DIGEST
+
+
+# The earliest-arrival heap pass that foremost and fastest ran on before
+# their scans, kept as the reference both are checked against.
+SPENT: Tick = MIN_TICK - 1  # the edge delivered at its own start: never earlier
+
+
+def _earliest_arrivals(
+    h: TimeVaryingHypergraph,
+    src: int,
+    departures: Iterable[Tick],
+    horizon: Tick | None,
+) -> Iterator[tuple[Tick, list[int], list[Tick], list[int], list[int]]]:
+    """Earliest arrivals from ``src`` over strictly descending departures.
+
+    The kernel that ``fastest`` swept over its candidate departures before
+    it ran its own scan; ``foremost``'s scan settles vertices and relaxes
+    edges in the order a single departure here would. After each departure ``tau`` yields ``(tau, improved,
+    arrival, pred_edge, pred_prior)``: the vertex indices whose arrival
+    strictly dropped at ``tau`` (the source included), in expansion order,
+    and the arrival tick and last hop (edge index, prior vertex index) of
+    every vertex, shared and carried from one departure to the next. Unreached
+    vertices hold ``NEVER`` and ``-1``, as the source's last hop does.
+
+    Each departure is a label-setting heap pass that expands only the
+    vertices it improves. An edge is relaxed only when it would deliver
+    strictly earlier than it last did, so at a single departure every edge
+    is relaxed at most once. On an equal arrival the smallest ``(edge id,
+    prior id)`` becomes the predecessor. Only vertices not yet expanded at
+    ``tau`` can tie, apart from ``u`` itself: once a vertex is expanded,
+    each of its edges has delivered no later than its arrival, or closed,
+    and later expansions arrive no earlier. So no chain passes through a
+    descendant.
+    """
+    ids = h.vertex_ids
+    edges = h.edges
+    starts = h.edge_starts
+    ends = h.edge_ends
+    members = h.edge_members
+    incidence = h.incidence
+    limit = MAX_TICK if horizon is None else horizon
+
+    arrival: list[Tick] = [NEVER] * len(ids)
+    pred_edge: list[int] = [-1] * len(ids)
+    pred_prior: list[int] = [-1] * len(ids)
+    # what each edge delivered last: its members already arrive no later
+    delivered: list[Tick] = [NEVER] * len(edges)
+    for tau in departures:
+        arrival[src] = tau
+        improved: list[int] = []
+        heap: list[tuple[Tick, int]] = [(tau, src)]
+        while heap:
+            a_u, u = heappop(heap)
+            if a_u > arrival[u]:
+                continue
+            improved.append(u)
+            for ei in incidence[u]:
+                if delivered[ei] <= a_u or ends[ei] < a_u:
+                    continue
+                if a_u > starts[ei]:
+                    arr = delivered[ei] = a_u
+                else:
+                    arr = starts[ei]
+                    delivered[ei] = SPENT
+                if arr > limit:
+                    continue
+                for v in members[ei]:
+                    a_v = arrival[v]
+                    if arr < a_v:
+                        arrival[v] = arr
+                        pred_edge[v] = ei
+                        pred_prior[v] = u
+                        heappush(heap, (arr, v))
+                    elif arr == a_v and v != u:
+                        if (edges[ei].id, ids[u]) < (edges[pred_edge[v]].id, ids[pred_prior[v]]):
+                            pred_edge[v] = ei
+                            pred_prior[v] = u
+        yield tau, improved, arrival, pred_edge, pred_prior
 
 
 def _foremost_by_heap(h, source, t0, horizon, keep_predecessors):
@@ -491,6 +571,74 @@ def test_fastest_departure_candidates_contract():
                 clamped = fastest_departure_candidates(h, t0, horizon)
                 assert clamped == sorted(set(clamped), reverse=True)
                 assert set(clamped) == {t0} | {min(end, cap) for end in h.edge_ends if end >= t0}
+
+
+def _fastest_heap_reference(h, source, t0, horizon):
+    """Fastest values as the heap kernel gave them, swept over the candidate departures."""
+    src = h.index_of(source)
+    departures = fastest_departure_candidates(h, t0, horizon)
+    best: dict[int, Tick] = {}
+    for tau, improved, arrival, _, _ in _earliest_arrivals(h, src, departures, horizon):
+        # a vertex not improved kept its arrival, so its duration only grew
+        for v in improved:
+            if v not in best or arrival[v] - tau < best[v]:
+                best[v] = arrival[v] - tau
+    return {h.vertex_ids[v]: d for v, d in sorted(best.items())}
+
+
+def test_fastest_scan_matches_heap_kernel_seeded():
+    rng = random.Random(14)
+    runs = 0
+    for _ in range(40):
+        vertex_count = rng.randint(4, 40)
+        params = GenParams(
+            vertex_count=vertex_count,
+            edge_count=rng.randint(vertex_count, 150),
+            span=rng.choice((3, 10, 30, 100, 1000)),  # short spans make ties dense
+            max_length=rng.randint(0, 300),
+            seed=rng.randrange(10**6),
+        )
+        h = gen_random(params)
+        first, last = min(h.edge_starts), max(h.edge_ends)
+        for source in rng.sample(h.vertex_ids, 2):
+            for t0 in (first - 2, rng.randint(first, last), last + 1):
+                for horizon in (None, t0, t0 - 1, t0 + rng.randint(1, params.span)):
+                    want = _fastest_heap_reference(h, source, t0, horizon)
+                    assert fastest(h, source, t0, horizon, False).values == want
+                    labels = fastest(h, source, t0, horizon)
+                    assert labels.values == want
+                    runs += 2
+                    if horizon is not None and horizon < t0:
+                        assert labels.witnesses == {source: TemporalWalk(source, t0, (), ())}
+                        continue
+                    for target, walk in labels.witnesses.items():
+                        _assert_chain_reaches_source(labels, target)
+                        validate_walk(h, walk)
+                        assert walk.terminus == target
+                        assert walk_metric_value(walk, labels.metric) == want[target]
+                        assert walk.departure >= t0
+                        if horizon is not None:
+                            assert walk.arrival <= horizon
+    assert runs >= 300
+
+
+def test_fastest_keeps_the_first_of_two_rises_with_equal_duration():
+    # v rises at tick 3 over e1, e2 (minimum end 1) and again at tick 9 over
+    # e3, e4 (minimum end 7): both walks last 2, and the first rise is kept
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "p"], 1, 1),
+            hyperedge("e2", ["p", "v"], 3, 3),
+            hyperedge("e3", ["s", "q"], 5, 7),
+            hyperedge("e4", ["q", "v"], 9, 9),
+        ]
+    )
+    labels = fastest(h, "s", 0)
+    assert labels.values == {"p": 0, "q": 0, "s": 0, "v": 2}
+    assert labels.values == _fastest_heap_reference(h, "s", 0, None)
+    assert labels.witnesses["v"] == TemporalWalk("s", 1, (("e1", "p"), ("e2", "v")), (1, 3))
+    assert labels.predecessors["v"] == ("e2", "p")
+    assert fastest(h, "s", 0, keep_predecessors=False).values == labels.values
 
 
 # The hop-layered shortest without the per-edge delivered skip or the

@@ -1,6 +1,12 @@
 import hashlib
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,7 @@ from thd import (
     run,
     write_results,
 )
+import thd
 from thd import simulate
 from thd.errors import CheckpointMismatch, CorruptCheckpoint, PlanInvalid
 from thd.simulate import (
@@ -436,6 +443,61 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     assert resumed.labels == fresh.labels
     assert resumed.summary == fresh.summary
     assert any(lab.witnesses for lab in resumed.labels)
+
+
+# Runs a two-process checkpointed plan and, at the first finished source,
+# writes the pool's worker pids and blocks until it is killed.
+_RUN_UNTIL_KILLED = """
+import multiprocessing, os, sys, time
+from thd import GenParams, SimulationPlan, gen_random, run
+
+def progress(source):
+    pids = " ".join(str(p.pid) for p in multiprocessing.active_children())
+    with open(sys.argv[1] + ".tmp", "w") as f:
+        f.write(pids)
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(120)
+
+h = gen_random(GenParams(vertex_count=40, edge_count=120, span=60, seed=5))
+plan = SimulationPlan(t0=0, parallelism=2, checkpoint_path=sys.argv[2])
+run(h, plan, progress)
+"""
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie that no one has reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
+    pids_file = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=str(Path(thd.__file__).parents[1]))
+    cmd = [sys.executable, "-c", _RUN_UNTIL_KILLED, str(pids_file), str(tmp_path / "ck")]
+    proc = subprocess.Popen(cmd, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not pids_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        workers = [int(pid) for pid in pids_file.read_text().split()]
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    try:
+        deadline = time.monotonic() + 10
+        while not all(_exited(pid) for pid in workers):
+            assert time.monotonic() < deadline, "pool workers outlived their parent"
+            time.sleep(0.1)
+    finally:
+        for pid in workers:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_completed_checkpoint_short_circuits(tmp_path):
