@@ -28,7 +28,7 @@ from .gen import GenParams, gen_desk_instance, gen_random, gen_structured
 from .io import read_network, write_network, write_results
 from .oracle import differential_report
 from .paths import Metric, reconstruct_walk
-from .simulate import SimulationPlan, compute_labels, run, walk_doc
+from .simulate import SimulationPlan, compute_labels, run, validate_plan, walk_doc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,6 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     plan = SimulationPlan(
         metrics=(metric,), t0=args.t0, max_hops=args.max_hops, keep_predecessors=True
     )
+    validate_plan(h, plan)
     labels = compute_labels(h, plan, args.source)[metric]
     if args.target not in labels.values:
         raise Unreached(

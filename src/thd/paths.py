@@ -35,6 +35,10 @@ Three notions of minimal distance from a source:
   vertex's duration when that value rises: the one-pass fastest path of
   Wu et al. (PVLDB 2014), with no sweep over departures.
 
+Shortest and fastest witnesses come from one event log: each kernel logs
+``(edge, vertex, prior event)`` per improvement, and one builder turns the
+chain of events behind each vertex into its walk.
+
 Unreached vertices are absent from the label maps; the sentinels of the
 kernel's internal arrays never reach them.
 """
@@ -102,8 +106,8 @@ class DistanceLabels:
     chains always terminate at the source. For hop and duration labels the
     optimal walk through a vertex need not extend that vertex's own
     optimal walk, so those metrics additionally carry exact per-vertex
-    ``witnesses`` and reconstruction reads them instead of replaying the
-    chain. Both are None when the labels were computed values-only.
+    ``witnesses``, built from one event log, and reconstruction reads
+    them instead of replaying the chain. Both are None for values-only labels.
     """
 
     source: str
@@ -372,35 +376,8 @@ def fastest(
     if not keep_predecessors:
         return DistanceLabels(source, t0, Metric.FASTEST, values, None)
     stay = max(t0, min(max(ends), limit))
-    predecessors: dict[str, tuple[str, str]] = {}
-    witnesses: dict[str, TemporalWalk] = {}
-    # the walk of each event, built once and shared by the chains through
-    # it: its hops, the running maximum of its starts and its minimum end;
-    # the extra last slot, read as event -1, holds the source's empty walk
-    walk_of: list[tuple | None] = [None] * len(events) + [((), (), NEVER)]
-    for v, ev in enumerate(best_event):
-        if best[v] == NEVER:
-            continue
-        chain: list[int] = []
-        while walk_of[ev] is None:
-            chain.append(ev)
-            ev = events[ev][2]
-        hops, tops, low = walk_of[ev]
-        while chain:
-            ev = chain.pop()
-            ei, w, _ = events[ev]
-            hops += ((edges[ei].id, ids[w]),)
-            tops += (max(tops[-1], starts[ei]) if tops else starts[ei],)
-            low = min(low, ends[ei])
-            walk_of[ev] = hops, tops, low
-        if not hops:
-            witnesses[source] = TemporalWalk(source, stay, (), ())
-            continue
-        # departing at `tau`, each hop arrives at the larger of `tau` and `top`
-        tau = low if low < limit else limit
-        k = bisect_left(tops, tau)
-        witnesses[ids[v]] = TemporalWalk(source, tau, hops, (tau,) * k + tops[k:])
-        predecessors[ids[v]] = (hops[-1][0], hops[-2][1] if len(hops) > 1 else source)
+    last_event = {v: ev for v, ev in enumerate(best_event) if best[v] != NEVER}
+    predecessors, witnesses = _witness_walks(h, source, events, last_event, limit, stay)
     return DistanceLabels(source, t0, Metric.FASTEST, values, predecessors, witnesses)
 
 
@@ -449,14 +426,11 @@ def shortest(
     delivered: list[Tick] = [NEVER] * len(starts)
     hop_of: dict[int, int] = {src: 0}
 
-    # arrival-improvement events; walking prior links from a vertex's first
-    # event replays a feasible minimal-hop walk exactly
-    ev_edge: list[int] = []
-    ev_vertex: list[int] = []
-    ev_arrival: list[Tick] = []
-    ev_prior: list[int] = []
+    # arrival-improvement events (edge, vertex, prior event); the chain
+    # from a vertex's first event replays a feasible minimal-hop walk
+    events: list[tuple[int, int, int]] = []
     latest_event: list[int] = [-1] * len(ids)
-    first_event: dict[int, int] = {}
+    first_event: dict[int, int] = {src: -1}
 
     frontier = [src]
     layer = 0
@@ -492,42 +466,68 @@ def shortest(
             arrival[v] = arr
             frontier.append(v)
             if keep_predecessors:  # the event chain only feeds witnesses
-                first_event.setdefault(v, len(ev_edge))
-                latest_event[v] = len(ev_edge)
-                ev_edge.append(ei)
-                ev_vertex.append(v)
-                ev_arrival.append(arr)
-                ev_prior.append(pe)
+                first_event.setdefault(v, len(events))
+                latest_event[v] = len(events)
+                events.append((ei, v, pe))
         frontier.sort()
 
     values = {ids[v]: k for v, k in sorted(hop_of.items())}
-    predecessors = None
-    witnesses = None
-    if keep_predecessors:
-        predecessors = {}
-        witnesses = {ids[src]: TemporalWalk(source, t0, (), ())}
-        for v in sorted(first_event):
-            rev: list[tuple[str, str, Tick]] = []
-            ev = first_event[v]
-            while ev != -1:
-                rev.append((edges[ev_edge[ev]].id, ids[ev_vertex[ev]], ev_arrival[ev]))
-                ev = ev_prior[ev]
-            rev.reverse()
-            walk = TemporalWalk(
-                source,
-                t0,
-                tuple((e, w) for e, w, _ in rev),
-                tuple(a for _, _, a in rev),
-            )
-            witnesses[ids[v]] = walk
-            prior = rev[-2][1] if len(rev) >= 2 else source
-            predecessors[ids[v]] = (rev[-1][0], prior)
+    if not keep_predecessors:
+        return DistanceLabels(source, t0, Metric.SHORTEST, values, None)
+    # every edge end on a walk from t0 is at least t0: each walk departs at t0
+    predecessors, witnesses = _witness_walks(h, source, events, first_event, t0, t0)
     return DistanceLabels(source, t0, Metric.SHORTEST, values, predecessors, witnesses)
 
 
 # --------------------------------------------------------------------------
-# reconstruction and validation
+# witnesses, reconstruction and validation
 # --------------------------------------------------------------------------
+
+
+def _witness_walks(
+    h: TimeVaryingHypergraph,
+    source: str,
+    events: list[tuple[int, int, int]],
+    last_event: Mapping[int, int],
+    cap: Tick,
+    stay: Tick,
+) -> tuple[dict[str, tuple[str, str]], dict[str, TemporalWalk]]:
+    """Last hops and witness walks of the vertices in ``last_event``.
+
+    Event ``(edge, vertex, prior event)`` extends the prior event's walk
+    (-1: the source's empty walk, departing at ``stay``) to the vertex.
+    ``last_event`` maps each reached vertex to the event ending its walk,
+    which departs at its minimum edge end or at ``cap``, if earlier.
+    """
+    ids, edges, starts, ends = h.vertex_ids, h.edges, h.edge_starts, h.edge_ends
+    predecessors: dict[str, tuple[str, str]] = {}
+    witnesses: dict[str, TemporalWalk] = {}
+    # the walk of each event, built once and shared by the chains through
+    # it: its hops, the running maximum of its starts and its minimum end;
+    # the extra last slot, read as event -1, holds the source's empty walk
+    walk_of: list[tuple | None] = [None] * len(events) + [((), (), NEVER)]
+    for v, ev in sorted(last_event.items()):
+        chain: list[int] = []
+        while walk_of[ev] is None:
+            chain.append(ev)
+            ev = events[ev][2]
+        hops, tops, low = walk_of[ev]
+        while chain:
+            ev = chain.pop()
+            ei, w, _ = events[ev]
+            hops += ((edges[ei].id, ids[w]),)
+            tops += (max(tops[-1], starts[ei]) if tops else starts[ei],)
+            low = min(low, ends[ei])
+            walk_of[ev] = hops, tops, low
+        if not hops:
+            witnesses[source] = TemporalWalk(source, stay, (), ())
+            continue
+        # departing at `tau`, each hop arrives at the larger of `tau` and `top`
+        tau = low if low < cap else cap
+        k = bisect_left(tops, tau)
+        witnesses[ids[v]] = TemporalWalk(source, tau, hops, (tau,) * k + tops[k:])
+        predecessors[ids[v]] = (hops[-1][0], hops[-2][1] if len(hops) > 1 else source)
+    return predecessors, witnesses
 
 
 def reconstruct_walk(labels: DistanceLabels, target: str) -> TemporalWalk:

@@ -54,9 +54,9 @@ class SimulationPlan:
     ``sources=None`` means every vertex; an explicit tuple selects those
     vertices (duplicates are rejected); ``sample_size`` draws a seeded
     sample instead. ``t0=None`` starts each source at its earliest
-    incident edge start (vertices with no edges start at 0), a fixed tick
-    applies to all sources. ``horizon`` discards arrivals beyond it.
-    ``parallelism`` and the checkpoint settings never affect result bytes.
+    incident edge start; a fixed tick applies to all sources. ``horizon``
+    discards arrivals beyond it. ``parallelism`` and the checkpoint
+    settings never affect result bytes.
     """
 
     metrics: tuple[Metric, ...] = (Metric.FOREMOST,)
@@ -163,11 +163,8 @@ def resolve_sources(h: TimeVaryingHypergraph, plan: SimulationPlan) -> list[str]
 def resolve_t0(h: TimeVaryingHypergraph, plan: SimulationPlan, source: str) -> Tick:
     if plan.t0 is not None:
         return plan.t0
-    vi = h.index_of(source)
-    inc = h.incidence[vi]
-    if not inc:
-        return 0
-    return min(h.edge_starts[ei] for ei in inc)
+    # incidence is start-sorted, and every vertex joins some edge
+    return h.edge_starts[h.incidence[h.index_of(source)][0]]
 
 
 def input_digest(h: TimeVaryingHypergraph) -> str:

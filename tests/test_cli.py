@@ -114,10 +114,11 @@ def test_query_json(g1_file, capsys):
     assert doc["walk"]["departure"] == 4
 
 
-def test_query_zero_max_hops_rejected(g1_file, capsys):
-    # 0 is a hop budget, not "no limit"
+@pytest.mark.parametrize("metric", ["foremost", "shortest", "fastest"])
+def test_query_zero_max_hops_rejected(g1_file, capsys, metric):
+    # 0 is a hop budget, not "no limit"; the plan is checked as simulate's is
     assert main(
-        ["query", g1_file, "--source", "a", "--target", "b", "--metric", "shortest", "--max-hops", "0"]
+        ["query", g1_file, "--source", "a", "--target", "b", "--metric", metric, "--max-hops", "0"]
     ) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -29,6 +29,7 @@ from thd.errors import (
     UnknownVertex,
 )
 from thd.paths import NEVER, DistanceLabels, Metric, fastest_departure_candidates
+from thd.simulate import walk_doc
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -192,11 +193,18 @@ def test_equal_arrival_keeps_smallest_edge_then_prior():
 
 
 # sha256 of foremost values and predecessors from the dedicated foremost
-# loop at commit 71950a9, before foremost ran on the shared kernel
-FOREMOST_DIGEST = "3bc95bdecd11b091b32286a9feff655bc669ca8c24a6bdce3a29b715e84c4c26"
+# loop at commit 71950a9, before foremost ran on the shared kernel; and of
+# fastest values, predecessors and witness walks at commit fa5de41, before
+# fastest built its witnesses with shortest's walk builder
+PINNED_DIGESTS = {
+    Metric.FOREMOST: "3bc95bdecd11b091b32286a9feff655bc669ca8c24a6bdce3a29b715e84c4c26",
+    Metric.FASTEST: "54b65d7486650df6c172ff1e1daee342b151f01028596accdc951aefdc0c8c01",
+}
 
 
-def test_foremost_matches_pinned_digest_seeded():
+@pytest.mark.parametrize("metric", [Metric.FOREMOST, Metric.FASTEST], ids=lambda m: m.value)
+def test_matches_pinned_digest_seeded(metric):
+    kernel = foremost if metric is Metric.FOREMOST else fastest
     instances = [gen_desk_instance(seed) for seed in range(60)]
     instances += [
         gen_random(GenParams(vertex_count=60, edge_count=200, span=200, max_length=30, seed=seed))
@@ -206,12 +214,14 @@ def test_foremost_matches_pinned_digest_seeded():
     for h in instances:
         for source in h.vertex_ids[:20]:
             for t0, horizon in ((3, None), (3, 12), (17, None), (17, 60)):
-                labels = foremost(h, source, t0, horizon)
+                labels = kernel(h, source, t0, horizon)
                 doc = [labels.values, labels.predecessors]
+                if labels.witnesses is not None:
+                    doc.append({v: walk_doc(w) for v, w in labels.witnesses.items()})
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
-                values_only = foremost(h, source, t0, horizon, keep_predecessors=False)
+                values_only = kernel(h, source, t0, horizon, keep_predecessors=False)
                 assert values_only.values == labels.values
-    assert digest.hexdigest() == FOREMOST_DIGEST
+    assert digest.hexdigest() == PINNED_DIGESTS[metric]
 
 
 # The earliest-arrival heap pass that foremost and fastest ran on before
