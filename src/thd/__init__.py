@@ -18,7 +18,6 @@ from .core import (
     TimeVaryingHypergraph,
     build_hypergraph,
     hyperedge,
-    incident_edges,
     stats,
 )
 from .gen import GenParams, gen_desk_instance, gen_random, gen_structured
@@ -53,7 +52,6 @@ __all__ = [
     "TimeVaryingHypergraph",
     "build_hypergraph",
     "hyperedge",
-    "incident_edges",
     "stats",
     "GenParams",
     "gen_desk_instance",

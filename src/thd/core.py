@@ -38,9 +38,9 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 class TemporalHyperedge:
     """One interaction: who participated, and when the edge was open.
 
-    Records are plain data; validation happens in :func:`build_hypergraph`
-    so that ingest layers can construct candidate records first and report
-    which ones are bad.
+    An invalid edge cannot be constructed: ``TemporalHyperedge(...)``,
+    :func:`hyperedge` and ``dataclasses.replace`` raise a
+    :class:`~thd.errors.HypergraphError` subclass naming the first problem.
     """
 
     id: str
@@ -48,8 +48,7 @@ class TemporalHyperedge:
     start: Tick
     end: Tick
 
-    def validate(self) -> None:
-        """Raise a :class:`~thd.errors.HypergraphError` subclass if invalid."""
+    def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise InvalidVertexId(f"edge id must be a nonempty string, got {self.id!r}")
         if not self.id.isascii() and _SURROGATE.search(self.id):
@@ -72,9 +71,7 @@ class TemporalHyperedge:
         if not (MIN_TICK <= self.start <= MAX_TICK and MIN_TICK <= self.end <= MAX_TICK):
             raise InvalidInterval(f"edge {self.id!r}: tick outside representable range")
         if self.start > self.end:
-            raise InvalidInterval(
-                f"edge {self.id!r}: start {self.start} > end {self.end}"
-            )
+            raise InvalidInterval(f"edge {self.id!r}: start {self.start} > end {self.end}")
 
 
 def hyperedge(edge_id: str, participants: Iterable[str], start: Tick, end: Tick) -> TemporalHyperedge:
@@ -143,7 +140,7 @@ class TimeVaryingHypergraph:
 
 
 def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHypergraph:
-    """Validate edge records and assemble the immutable hypergraph.
+    """Assemble the immutable hypergraph from valid edge records.
 
     The vertex table is the union of all participants, interned in
     lexicographic order. The incidence index lists each (vertex, edge)
@@ -152,17 +149,16 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
     input order of equal records; ``edge_order`` lists every edge in
     that same order.
 
-    Raises DuplicateEdgeId, InvalidInterval, TooFewParticipants, or
-    InvalidVertexId on the first offending record.
+    Each record was validated when it was constructed, so the only
+    error left is DuplicateEdgeId, raised for the first repeated id.
     """
-    seen_ids: set[str] = set()
-    for rec in edge_records:
-        rec.validate()
-        if rec.id in seen_ids:
-            raise DuplicateEdgeId(f"edge id {rec.id!r} appears more than once")
-        seen_ids.add(rec.id)
-
     edges = tuple(edge_records)
+    ids = [e.id for e in edges]
+    seen_ids: set[str] = set()
+    for edge_id in ids:
+        if edge_id in seen_ids:
+            raise DuplicateEdgeId(f"edge id {edge_id!r} appears more than once")
+        seen_ids.add(edge_id)
 
     vertex_ids = tuple(sorted(set().union(*[e.participants for e in edges])))
     vertex_index = {v: i for i, v in enumerate(vertex_ids)}
@@ -173,7 +169,6 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
     edge_members = tuple([tuple(sorted(map(index_of, e.participants))) for e in edges])
 
     # (start, id) order: sort by id, then stably by start, both C-keyed
-    ids = [e.id for e in edges]
     order = sorted(range(len(edges)), key=ids.__getitem__)
     order.sort(key=edge_starts.__getitem__)
     incidence_lists: list[list[int]] = [[] for _ in vertex_ids]
@@ -191,19 +186,6 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
         edge_order=tuple(order),
         _vertex_index=vertex_index,
     )
-
-
-def incident_edges(
-    h: TimeVaryingHypergraph, vertex: str, not_before: Tick
-) -> list[TemporalHyperedge]:
-    """Edges containing `vertex` still open at `not_before` (end >= not_before).
-
-    Returned in ascending start order, ties by edge id; the hypergraph is
-    not mutated.
-    """
-    vi = h.index_of(vertex)
-    ends = h.edge_ends
-    return [h.edges[ei] for ei in h.incidence[vi] if ends[ei] >= not_before]
 
 
 def stats(h: TimeVaryingHypergraph) -> NetworkStats:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, BinaryIO, Iterable
 
-from .core import MAX_TICK, MIN_TICK, TemporalHyperedge, TimeVaryingHypergraph
-from .errors import MalformedJson, MixedTimeEncodings, RecordInvalid
+from .core import TemporalHyperedge, TimeVaryingHypergraph
+from .errors import HypergraphError, MalformedJson, MixedTimeEncodings, RecordInvalid
 
 if TYPE_CHECKING:
     from .simulate import DiffusionResult
@@ -184,61 +184,48 @@ def _tick_field(record: dict, key: str, index: int) -> tuple[int, str]:
 
 
 def _parse_record(
-    record: object, index: int, encoding: str | None
+    record: object, index: int, encoding: str | None, names: dict[str, str]
 ) -> tuple[TemporalHyperedge, str]:
-    if not isinstance(record, dict):
-        raise RecordInvalid(index, "edge record must be an object")
-    edge_id = record.get("id")
-    if not isinstance(edge_id, str) or not edge_id:
-        raise RecordInvalid(index, "missing or empty 'id'")
-    participants = record.get("participants")
-    if not isinstance(participants, list):
-        raise RecordInvalid(index, "'participants' must be an array")
-    for p in participants:
-        if not isinstance(p, str) or not p:
-            raise RecordInvalid(index, "participants must be nonempty strings")
-    if len(set(participants)) != len(participants):
-        raise RecordInvalid(index, "duplicate participant")
+    """One decoded edge record as (edge, time encoding); raises RecordInvalid.
 
-    start, enc_s = _tick_field(record, "start", index)
-    end, enc_e = _tick_field(record, "end", index)
-    if enc_s != enc_e:
-        raise MixedTimeEncodings(
-            f"edge record {index} mixes tick and calendar timestamps"
-        )
-    if encoding is not None and enc_s != encoding:
-        raise MixedTimeEncodings(
-            f"edge record {index} uses {enc_s!r} but document started with {encoding!r}"
-        )
-
-    edge = TemporalHyperedge(edge_id, frozenset(participants), start, end)
-    try:
-        edge.validate()
-    except Exception as exc:
-        raise RecordInvalid(index, str(exc)) from None
-    return edge, enc_s
-
-
-def _plain_tick_record(record: object, names: dict[str, str]) -> TemporalHyperedge | None:
-    """The edge of a plainly valid tick record with ASCII ids, else None; never raises.
-
-    Participants are taken from `names`, so each vertex id is stored once.
+    `record` comes from the JSON decoder, which makes only exact dict,
+    list, str, int, float, bool and None objects, so ``type(x) is`` checks
+    suffice. The checks run in a fixed order, so a bad record always gets
+    the same reason, and the edge's own checks run as it is constructed.
+    Participants are interned through `names`, so each vertex id is
+    stored once however many records name it.
     """
     if type(record) is not dict:
-        return None
-    edge_id, members = record.get("id"), record.get("participants")
-    start, end = record.get("start"), record.get("end")
-    if (type(edge_id) is not str or not edge_id or not edge_id.isascii()
-            or type(members) is not list or len(members) < 2 or type(start) is not int
-            or type(end) is not int or not MIN_TICK <= start <= end <= MAX_TICK):
-        return None
+        raise RecordInvalid(index, "edge record must be an object")
+    edge_id = record.get("id")
+    if type(edge_id) is not str or not edge_id:
+        raise RecordInvalid(index, "missing or empty 'id'")
+    members = record.get("participants")
+    if type(members) is not list:
+        raise RecordInvalid(index, "'participants' must be an array")
     for p in members:
-        if type(p) is not str or not p or not p.isascii():
-            return None
+        if type(p) is not str or not p:
+            raise RecordInvalid(index, "participants must be nonempty strings")
     participants = frozenset(map(names.setdefault, members, members))
     if len(participants) != len(members):
-        return None
-    return TemporalHyperedge(edge_id, participants, start, end)
+        raise RecordInvalid(index, "duplicate participant")
+
+    start, end = record.get("start"), record.get("end")
+    if type(start) is int and type(end) is int:
+        enc = "ticks"
+    else:
+        start, enc = _tick_field(record, "start", index)
+        end, enc_end = _tick_field(record, "end", index)
+        if enc != enc_end:
+            raise MixedTimeEncodings(f"edge record {index} mixes tick and calendar timestamps")
+    if encoding is not None and enc != encoding:
+        raise MixedTimeEncodings(
+            f"edge record {index} uses {enc!r} but document started with {encoding!r}"
+        )
+    try:
+        return TemporalHyperedge(edge_id, participants, start, end), enc
+    except HypergraphError as exc:
+        raise RecordInvalid(index, str(exc)) from None
 
 
 def read_network(
@@ -291,9 +278,8 @@ def read_network(
             else:
                 while True:
                     raw = reader.value()
-                    edge = _plain_tick_record(raw, names) if encoding != "calendar" else None
                     try:
-                        edge, enc = (edge, "ticks") if edge else _parse_record(raw, index, encoding)
+                        edge, encoding = _parse_record(raw, index, encoding, names)
                         if edge.id in seen_ids:
                             raise RecordInvalid(index, f"duplicate edge id {edge.id!r}")
                     except RecordInvalid as exc:
@@ -301,7 +287,6 @@ def read_network(
                             raise
                         skipped.append((exc.index, exc.reason))
                     else:
-                        encoding = enc
                         seen_ids.add(edge.id)
                         edges.append(edge)
                     index += 1

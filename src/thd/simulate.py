@@ -244,24 +244,30 @@ def _source_doc(labels: Iterable[DistanceLabels]) -> dict:
     return {"source": lab.source, "t0": lab.t0, "metrics": metrics_doc}
 
 
-def _labels_from_doc(doc: dict) -> dict[Metric, DistanceLabels]:
-    """Decode a checkpoint record; a resumed source exists only in this form."""
-    source = doc["source"]
-    t0 = doc["t0"]
-    out: dict[Metric, DistanceLabels] = {}
-    for m in sorted(map(Metric, doc["metrics"]), key=METRIC_ORDER.index):
-        entry = doc["metrics"][m.value]
-        preds = entry.get("predecessors")
-        walks = entry.get("witnesses")
-        out[m] = DistanceLabels(
-            source, t0, m, entry["values"],
-            None if preds is None else {v: tuple(p) for v, p in preds.items()},
-            None if walks is None else {
-                v: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
-                                tuple(w["arrivals"]))
-                for v, w in walks.items()
-            },
-        )
+def _labels_from_doc(path: str | Path, pos: int, doc: dict) -> dict[Metric, DistanceLabels]:
+    """Decode the checkpoint record at byte `pos`; a resumed source exists only in this form.
+
+    Raises CorruptCheckpoint when the record is not a source document.
+    """
+    try:
+        source = doc["source"]
+        t0 = doc["t0"]
+        out: dict[Metric, DistanceLabels] = {}
+        for m in sorted(map(Metric, doc["metrics"]), key=METRIC_ORDER.index):
+            entry = doc["metrics"][m.value]
+            preds = entry.get("predecessors")
+            walks = entry.get("witnesses")
+            out[m] = DistanceLabels(
+                source, t0, m, entry["values"],
+                None if preds is None else {v: tuple(p) for v, p in preds.items()},
+                None if walks is None else {
+                    v: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
+                                    tuple(w["arrivals"]))
+                    for v, w in walks.items()
+                },
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc!r}") from None
     return out
 
 
@@ -308,12 +314,13 @@ def checkpoint_write(
         os.replace(target, path)
 
 
-def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, int]:
+def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, tuple[int, dict]], int, int]:
     """Parse a checkpoint log.
 
-    Returns (input digest, plan digest, source docs, end offset of the
-    last complete record, file size). Bytes after the last newline are an
-    incomplete record torn by a crash and are left out of the docs.
+    Returns (input digest, plan digest, each source's record offset and
+    doc, end offset of the last complete record, file size). Bytes after
+    the last newline are an incomplete record torn by a crash and are left
+    out of the docs.
     """
     raw = Path(path).read_bytes()
     if not raw.strip():
@@ -329,7 +336,7 @@ def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, 
         raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')!r}")
     if not all(isinstance(header.get(k), str) for k in ("input_digest", "plan_digest")):
         raise CorruptCheckpoint(f"{path}: header lacks its input and plan digests")
-    docs: dict[str, dict] = {}
+    docs: dict[str, tuple[int, dict]] = {}
     while (end := raw.find(b"\n", pos) + 1) > 0:
         digest, _, body = raw[pos:end].partition(b" ")
         if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
@@ -339,9 +346,11 @@ def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, dict], int, 
             source = doc["source"]
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
+        if type(source) is not str:
+            raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: source is not a string")
         if source in docs:
             raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
-        docs[source] = doc
+        docs[source] = (pos, doc)
         pos = end
     return header["input_digest"], header["plan_digest"], docs, pos, len(raw)
 
@@ -352,10 +361,10 @@ def checkpoint_load(path: str | Path) -> tuple[str, str, dict[str, dict]]:
     An incomplete final record (a torn tail) is dropped. Raises
     CorruptCheckpoint when the file is empty, has an unreadable,
     unsupported or digest-less header, or holds a complete record that fails its hash,
-    does not parse, or repeats a source.
+    does not parse, has no string source, or repeats a source.
     """
     in_digest, p_digest, docs, _, _ = _checkpoint_scan(path)
-    return in_digest, p_digest, docs
+    return in_digest, p_digest, {s: doc for s, (_, doc) in docs.items()}
 
 
 # --------------------------------------------------------------------------
@@ -504,7 +513,7 @@ def run(
             )
         planned = set(sources)
         # each record is decoded once, here, and its document dropped
-        done = {s: _labels_from_doc(docs.pop(s)) for s in list(docs) if s in planned}
+        done = {s: _labels_from_doc(ck, *docs.pop(s)) for s in list(docs) if s in planned}
         log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
 
     todo = [s for s in sources if s not in done]

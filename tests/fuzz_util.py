@@ -134,7 +134,8 @@ def fuzz_read_network(executions: int, seed: int = 0) -> FuzzStats:
 _VERTEX_POOL = ["a", "b", "c", "d", "e", "f", ""]
 
 
-def _mutant_records(rng: random.Random) -> list[TemporalHyperedge]:
+def _mutant_records(rng: random.Random) -> list[tuple]:
+    """Fields of up to 8 edge records, some invalid; the caller constructs them."""
     n = rng.randint(0, 8)
     records = []
     for i in range(n):
@@ -146,7 +147,7 @@ def _mutant_records(rng: random.Random) -> list[TemporalHyperedge]:
         k = rng.randint(0, 4)
         participants = frozenset(rng.sample(_VERTEX_POOL, k)) if k else frozenset()
         edge_id = rng.choice([f"e{i}", f"e{rng.randint(0, n)}", ""])
-        records.append(TemporalHyperedge(edge_id, participants, ticks[0], ticks[1]))
+        records.append((edge_id, participants, ticks[0], ticks[1]))
     return records
 
 
@@ -163,7 +164,8 @@ def fuzz_build_and_foremost(executions: int, seed: int = 0) -> FuzzStats:
         stats.executions += 1
         started = time.perf_counter()
         try:
-            h = build_hypergraph(records)
+            # an invalid record is rejected as it is constructed
+            h = build_hypergraph([TemporalHyperedge(*fields) for fields in records])
         except HypergraphError:
             stats.rejected += 1
             stats.record_time(time.perf_counter() - started)

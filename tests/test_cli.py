@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from thd import write_network
 from thd.cli import main
+from thd.io import canonical_json_bytes
 
 from conftest import make_g1, write_version_1_checkpoint
 
@@ -193,6 +195,39 @@ def test_simulate_bad_checkpoint_exits_1(g1_file, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["simulate", g1_file, "-o", str(out), "--t0", "0", "--checkpoint", str(ck)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _list_source(doc):
+    doc["source"] = [doc["source"]]
+
+
+def _no_metrics(doc):
+    del doc["metrics"]
+
+
+def _bogus_metric(doc):
+    doc["metrics"]["bogus"] = doc["metrics"].pop("foremost")
+
+
+@pytest.mark.parametrize("damage", [_list_source, _no_metrics, _bogus_metric],
+                         ids=["list-source", "no-metrics", "bogus-metric"])
+def test_simulate_checkpoint_record_not_a_source_document_exits_1(
+    g1_file, tmp_path, capsys, damage
+):
+    ck = tmp_path / "ck"
+    out = tmp_path / "r.json"
+    args = ["simulate", g1_file, "-o", str(out), "--t0", "0", "--sources", "a,b",
+            "--checkpoint", str(ck)]
+    assert main(args) == 0
+    header, first, second = ck.read_bytes().splitlines(keepends=True)
+    doc = json.loads(second.partition(b" ")[2])
+    damage(doc)
+    body = canonical_json_bytes(doc)  # a hash-valid record
+    ck.write_bytes(header + first + hashlib.sha256(body).hexdigest().encode() + b" " + body)
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"bad record at byte {len(header + first)}" in err
 
 
 def test_simulate_version_1_checkpoint_exits_1(g1_file, tmp_path, capsys):

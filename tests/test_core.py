@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thd import build_hypergraph, hyperedge, incident_edges, read_network, stats, write_network
+from thd import build_hypergraph, hyperedge, read_network, stats, write_network
+from thd.core import MAX_TICK, TemporalHyperedge
 from thd.errors import (
     DuplicateEdgeId,
     InvalidInterval,
@@ -10,6 +13,10 @@ from thd.errors import (
     TooFewParticipants,
     UnknownVertex,
 )
+
+
+def incident_ids(h, vertex):
+    return [h.edges[ei].id for ei in h.incidence[h.index_of(vertex)]]
 
 
 def test_empty_input():
@@ -25,14 +32,14 @@ def test_empty_input():
 def test_single_edge_shape():
     h = build_hypergraph([hyperedge("e1", ["a", "b"], 1, 3)])
     assert h.vertex_ids == ("a", "b")
-    assert [e.id for e in incident_edges(h, "a", 0)] == ["e1"]
-    assert [e.id for e in incident_edges(h, "b", 0)] == ["e1"]
+    assert incident_ids(h, "a") == ["e1"]
+    assert incident_ids(h, "b") == ["e1"]
 
 
 def test_g1_incidence_sorted_by_start(g1):
-    assert [e.id for e in incident_edges(g1, "a", 0)] == ["e1", "e3"]
-    assert [e.id for e in incident_edges(g1, "a", 4)] == ["e3"]
-    assert [e.id for e in incident_edges(g1, "a", 100)] == []
+    assert incident_ids(g1, "a") == ["e1", "e3"]
+    assert incident_ids(g1, "c") == ["e2", "e3"]
+    assert [g1.edges[ei].id for ei in g1.edge_order] == ["e1", "e2", "e3"]
 
 
 def test_incidence_tie_break_by_edge_id():
@@ -42,12 +49,14 @@ def test_incidence_tie_break_by_edge_id():
             hyperedge("m", ["a", "c"], 5, 9),
         ]
     )
-    assert [e.id for e in incident_edges(h, "a", 0)] == ["m", "z"]
+    assert incident_ids(h, "a") == ["m", "z"]
+    assert [h.edges[ei].id for ei in h.edge_order] == ["m", "z"]
 
 
-def test_incident_edges_unknown_vertex(g1):
-    with pytest.raises(UnknownVertex):
-        incident_edges(g1, "nope", 0)
+def test_unknown_vertex_has_no_index(g1):
+    with pytest.raises(UnknownVertex, match="vertex 'nope' not in hypergraph"):
+        g1.index_of("nope")
+    assert "nope" not in g1
 
 
 def test_g1_stats(g1):
@@ -97,6 +106,36 @@ def test_bool_ticks_rejected():
     h = build_hypergraph([hyperedge("e", ["a", "b"], 0, 1)])
     edges, _ = read_network(write_network(h))
     assert build_hypergraph(edges) == h
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("id", "", InvalidVertexId, "edge id must be a nonempty string, got ''"),
+        ("participants", frozenset(["a", ""]), InvalidVertexId,
+         "edge 'e': participant must be a nonempty string, got ''"),
+        ("participants", frozenset(["a"]), TooFewParticipants,
+         "edge 'e' has 1 participant(s), need >= 2"),
+        ("start", False, InvalidInterval, "edge 'e': ticks must be integers"),
+        ("end", MAX_TICK + 1, InvalidInterval, "edge 'e': tick outside representable range"),
+        ("start", 2, InvalidInterval, "edge 'e': start 2 > end 1"),
+        ("id", "e\ud800", InvalidVertexId, "edge id 'e\\ud800' is not valid UTF-8"),
+    ],
+    ids=["empty-id", "empty-participant", "one-participant", "bool-tick",
+         "out-of-range", "inverted", "lone-surrogate"],
+)
+def test_invalid_edge_cannot_be_constructed(field, value, error, message):
+    fields = {"id": "e", "participants": frozenset(["a", "b"]), "start": 0, "end": 1}
+    fields[field] = value
+    valid = hyperedge("e", ["a", "b"], 0, 1)
+    for construct in (
+        lambda: TemporalHyperedge(**fields),
+        lambda: hyperedge(fields["id"], fields["participants"], fields["start"], fields["end"]),
+        lambda: dataclasses.replace(valid, **{field: value}),
+    ):
+        with pytest.raises(error) as err:
+            construct()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,23 @@ def test_invalid_records_strict(record, reason_part):
     assert reason_part in err.value.reason
 
 
+@pytest.mark.parametrize(
+    "start, end", [(0, 1), ("2024-01-01T00:00:00Z", "2024-01-01T00:00:01Z")],
+    ids=["ticks", "calendar"],
+)
+def test_participants_are_interned_across_records(start, end):
+    edges = [
+        {"id": f"e{i}", "participants": ["\u00e9t\u00e9", other], "start": start, "end": end}
+        for i, other in enumerate("bc")
+    ]
+    data = json.dumps({"schema": 1, "edges": edges}, ensure_ascii=False).encode()
+    first, second = read_network(data)[0]
+    (a,) = first.participants - {"b"}
+    (b,) = second.participants - {"c"}
+    assert a == "\u00e9t\u00e9"
+    assert a is b
+
+
 def test_lenient_skips_and_counts():
     doc = {
         "edges": [
