@@ -38,7 +38,6 @@ from .simulate import (
     DiffusionResult,
     SimulationPlan,
     aggregate,
-    checkpoint_load,
     checkpoint_write,
     run,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "DiffusionResult",
     "SimulationPlan",
     "aggregate",
-    "checkpoint_load",
     "checkpoint_write",
     "run",
 ]

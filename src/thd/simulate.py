@@ -6,8 +6,9 @@ so serialized output is byte-identical for any parallelism degree. Long
 runs append completed sources to a checkpoint log bound to the exact
 input and plan by digest. Each record carries its own hash, so a flush
 writes only the sources completed since the last one, and a record torn
-by a crash is dropped on resume. A resumed run decodes completed sources
-from their records and refuses to mix anything else.
+by a crash is dropped on resume. A resumed run reads the log one record
+at a time, decodes each completed source once, and refuses as corrupt
+any record that does not fit the plan and the network.
 """
 
 from __future__ import annotations
@@ -244,33 +245,6 @@ def _source_doc(labels: Iterable[DistanceLabels]) -> dict:
     return {"source": lab.source, "t0": lab.t0, "metrics": metrics_doc}
 
 
-def _labels_from_doc(path: str | Path, pos: int, doc: dict) -> dict[Metric, DistanceLabels]:
-    """Decode the checkpoint record at byte `pos`; a resumed source exists only in this form.
-
-    Raises CorruptCheckpoint when the record is not a source document.
-    """
-    try:
-        source = doc["source"]
-        t0 = doc["t0"]
-        out: dict[Metric, DistanceLabels] = {}
-        for m in sorted(map(Metric, doc["metrics"]), key=METRIC_ORDER.index):
-            entry = doc["metrics"][m.value]
-            preds = entry.get("predecessors")
-            walks = entry.get("witnesses")
-            out[m] = DistanceLabels(
-                source, t0, m, entry["values"],
-                None if preds is None else {v: tuple(p) for v, p in preds.items()},
-                None if walks is None else {
-                    v: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
-                                    tuple(w["arrivals"]))
-                    for v, w in walks.items()
-                },
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc!r}") from None
-    return out
-
-
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
@@ -287,9 +261,10 @@ def checkpoint_write(
     A record is one line: the SHA-256 hex of its canonical JSON, a space,
     then that JSON (which ends in the newline). When no file exists at
     ``path``, the header and the batch go to a temp file that is fsynced
-    and renamed into place, so the file never exists without a record.
-    Otherwise the batch is appended and fsynced; the caller has checked
-    the existing header with ``checkpoint_load``.
+    and renamed into place, and the directory is fsynced after the rename,
+    so the file never exists without a record and survives a crash once
+    written. Otherwise the batch is appended and fsynced; the caller has
+    checked the existing log as ``run`` does on resume.
     """
     records = []
     for s in sorted(docs):
@@ -300,71 +275,111 @@ def checkpoint_write(
     target = path.with_name(path.name + ".tmp") if fresh else path
     with open(target, "wb" if fresh else "ab") as fh:
         if fresh:
-            header = {
-                "kind": "thd-checkpoint",
-                "version": CHECKPOINT_VERSION,
-                "input_digest": in_digest,
-                "plan_digest": p_digest,
-            }
+            header = {"kind": "thd-checkpoint", "version": CHECKPOINT_VERSION,
+                      "input_digest": in_digest, "plan_digest": p_digest}
             fh.write(canonical_json_bytes(header))
         fh.write(b"".join(records))
         fh.flush()
         os.fsync(fh.fileno())
     if fresh:
         os.replace(target, path)
-
-
-def _checkpoint_scan(path: str | Path) -> tuple[str, str, dict[str, tuple[int, dict]], int, int]:
-    """Parse a checkpoint log.
-
-    Returns (input digest, plan digest, each source's record offset and
-    doc, end offset of the last complete record, file size). Bytes after
-    the last newline are an incomplete record torn by a crash and are left
-    out of the docs.
-    """
-    raw = Path(path).read_bytes()
-    if not raw.strip():
-        raise CorruptCheckpoint(f"{path}: empty checkpoint file")
-    pos = raw.find(b"\n") + 1
-    try:
-        header = json.loads(raw[:pos])
-    except ValueError as exc:
-        raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict) or header.get("kind") != "thd-checkpoint":
-        raise CorruptCheckpoint(f"{path}: not a checkpoint file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')!r}")
-    if not all(isinstance(header.get(k), str) for k in ("input_digest", "plan_digest")):
-        raise CorruptCheckpoint(f"{path}: header lacks its input and plan digests")
-    docs: dict[str, tuple[int, dict]] = {}
-    while (end := raw.find(b"\n", pos) + 1) > 0:
-        digest, _, body = raw[pos:end].partition(b" ")
-        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
-            raise CorruptCheckpoint(f"{path}: record hash mismatch at byte {pos}")
+        dir_fd = os.open(path.parent, os.O_RDONLY)
         try:
-            doc = json.loads(body)
-            source = doc["source"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
-        if type(source) is not str:
-            raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: source is not a string")
-        if source in docs:
-            raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
-        docs[source] = (pos, doc)
-        pos = end
-    return header["input_digest"], header["plan_digest"], docs, pos, len(raw)
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
-def checkpoint_load(path: str | Path) -> tuple[str, str, dict[str, dict]]:
-    """Read a checkpoint; returns (input digest, plan digest, source docs).
+def _resume(
+    h: TimeVaryingHypergraph, plan: SimulationPlan, sources: Sequence[str], in_digest: str, p_digest: str
+) -> dict[str, dict[Metric, DistanceLabels]]:
+    """Labels of the sources already complete in the log at ``plan.checkpoint_path``.
 
-    An incomplete final record (a torn tail) is dropped. Raises
-    CorruptCheckpoint when the file is empty, has an unreadable,
-    unsupported or digest-less header, or holds a complete record that fails its hash,
-    does not parse, has no string source, or repeats a source.
+    The log is read, checked and decoded one record at a time. A log for another
+    input or plan raises CheckpointMismatch; a bad header, or a complete record
+    that fails its hash, repeats a source or does not fit the plan and the network,
+    raises CorruptCheckpoint. Bytes after the last newline are a record torn by a
+    crash: they are truncated away, so that later appends start on a record boundary.
     """
-    in_digest, p_digest, docs, _, _ = _checkpoint_scan(path)
-    return in_digest, p_digest, {s: doc for s, (_, doc) in docs.items()}
+    path = plan.checkpoint_path
+    own = {v: v for v in h.vertex_ids}
+    planned = set(sources)
+    metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
+    done: dict[str, dict[Metric, DistanceLabels]] = {}
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.strip() and not fh.read().strip():
+            raise CorruptCheckpoint(f"{path}: empty checkpoint file")
+        try:  # the header is the first line, newline included
+            header = json.loads(line[: line.find(b"\n") + 1])
+        except ValueError as exc:
+            raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict) or header.get("kind") != "thd-checkpoint":
+            raise CorruptCheckpoint(f"{path}: not a checkpoint file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')!r}")
+        if not all(isinstance(header.get(k), str) for k in ("input_digest", "plan_digest")):
+            raise CorruptCheckpoint(f"{path}: header lacks its input and plan digests")
+        if header["input_digest"] != in_digest:
+            raise CheckpointMismatch(f"{path}: checkpoint was written for a different input")
+        if header["plan_digest"] != p_digest:
+            raise CheckpointMismatch(f"{path}: checkpoint was written for a different plan")
+        for line in fh:
+            pos = fh.tell() - len(line)
+            if not line.endswith(b"\n"):
+                os.truncate(path, pos)
+                log.warning("checkpoint: dropped a torn tail of %d bytes (1 incomplete record)",
+                            len(line))
+                break
+            digest, _, body = line.partition(b" ")
+            if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+                raise CorruptCheckpoint(f"{path}: record hash mismatch at byte {pos}")
+            try:
+                doc = json.loads(body)
+                source = doc["source"]
+                if type(source) is not str:
+                    raise ValueError("source is not a string")
+                if source not in planned:
+                    raise ValueError(f"source {source!r} is not planned")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
+            if source in done:
+                raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
+            try:
+                t0, entries = doc["t0"], doc["metrics"]
+                if type(t0) is not int or t0 != resolve_t0(h, plan, source):
+                    raise ValueError(f"t0 {t0!r} is not the planned t0 of source {source!r}")
+                if entries.keys() != {m.value for m in metrics}:
+                    raise ValueError(f"metrics {sorted(entries)} are not the planned ones")
+                done[source] = {m: _entry_labels(own, source, t0, m, entries[m.value])
+                                for m in metrics}
+            except ValueError as exc:  # a source document that does not fit
+                raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
+            except (AttributeError, KeyError, TypeError) as exc:  # not a source document
+                raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc!r}") from None
+    log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
+    return done
+
+
+def _entry_labels(own: Mapping[str, str], source: str, t0: Tick, metric: Metric,
+                  entry: dict) -> DistanceLabels:
+    """One metric's entry of a checkpoint record as labels keyed by the network's own strings.
+
+    Raises ValueError unless every value is an int at a vertex of the network.
+    """
+    values = {own.get(v): x for v, x in entry["values"].items()}
+    if None in values or any(type(x) is not int for x in values.values()):
+        raise ValueError(f"{metric.value} values are not integers at vertices of the network")
+    preds, walks = entry.get("predecessors"), entry.get("witnesses")
+    return DistanceLabels(
+        source, t0, metric, values,
+        None if preds is None else {own[v]: tuple(p) for v, p in preds.items()},
+        None if walks is None else {
+            own[v]: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
+                                 tuple(w["arrivals"]))
+            for v, w in walks.items()
+        },
+    )
 
 
 # --------------------------------------------------------------------------
@@ -497,24 +512,7 @@ def run(
     p_digest = plan_digest(plan)
 
     ck = plan.checkpoint_path
-    done: dict[str, dict[Metric, DistanceLabels]] = {}
-    if ck and Path(ck).exists():
-        ck_in, ck_plan, docs, good_end, size = _checkpoint_scan(ck)
-        if ck_in != in_digest:
-            raise CheckpointMismatch(f"{ck}: checkpoint was written for a different input")
-        if ck_plan != p_digest:
-            raise CheckpointMismatch(f"{ck}: checkpoint was written for a different plan")
-        if good_end < size:
-            # later appends must start on a record boundary
-            os.truncate(ck, good_end)
-            log.warning(
-                "checkpoint: dropped a torn tail of %d bytes (1 incomplete record)",
-                size - good_end,
-            )
-        planned = set(sources)
-        # each record is decoded once, here, and its document dropped
-        done = {s: _labels_from_doc(ck, *docs.pop(s)) for s in list(docs) if s in planned}
-        log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
+    done = _resume(h, plan, sources, in_digest, p_digest) if ck and Path(ck).exists() else {}
 
     todo = [s for s in sources if s not in done]
     flushed = 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +61,9 @@ def write_version_1_checkpoint(path):
         "version": 1,
     }
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def flushed_sources(path):
+    """The source of each complete record of a checkpoint log, in log order."""
+    records = Path(path).read_bytes().split(b"\n")[1:-1]  # no header, no torn tail
+    return [json.loads(record.partition(b" ")[2])["source"] for record in records]

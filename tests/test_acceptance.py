@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import make_g1, make_g2
+from conftest import flushed_sources, make_g1, make_g2
 from fuzz_util import fuzz_build_and_foremost, fuzz_read_network
 
 from thd import (
@@ -32,7 +32,6 @@ from thd import (
     stats,
     write_results,
 )
-from thd.simulate import checkpoint_load
 
 DIFF_TRIALS = 1000
 DIFF_SEED_BASE = 20_000
@@ -203,7 +202,7 @@ def test_criterion_4_determinism_and_resume(determinism_net):
             break
         time.sleep(0.01)
     assert killed_midway, "process finished before the first checkpoint flush"
-    flushed = len(checkpoint_load(ck_path)[2])
+    flushed = len(flushed_sources(ck_path))
     assert 0 < flushed < 150
 
     resumed = subprocess.run(cmd, capture_output=True)

@@ -209,8 +209,30 @@ def _bogus_metric(doc):
     doc["metrics"]["bogus"] = doc["metrics"].pop("foremost")
 
 
-@pytest.mark.parametrize("damage", [_list_source, _no_metrics, _bogus_metric],
-                         ids=["list-source", "no-metrics", "bogus-metric"])
+def _string_value(doc):
+    values = doc["metrics"]["foremost"]["values"]
+    values["b"] = str(values["b"])
+
+
+def _string_t0(doc):
+    doc["t0"] = str(doc["t0"])
+
+
+def _unknown_vertex(doc):
+    doc["metrics"]["foremost"]["values"]["zz"] = 9
+
+
+def _unplanned_source(doc):
+    doc["source"] = "c"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_list_source, _no_metrics, _bogus_metric, _string_value, _string_t0, _unknown_vertex,
+     _unplanned_source],
+    ids=["list-source", "no-metrics", "bogus-metric", "string-value", "string-t0",
+         "unknown-vertex", "unplanned-source"],
+)
 def test_simulate_checkpoint_record_not_a_source_document_exits_1(
     g1_file, tmp_path, capsys, damage
 ):

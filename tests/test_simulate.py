@@ -3,9 +3,11 @@ import json
 import logging
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,14 +28,13 @@ from thd import simulate
 from thd.errors import CheckpointMismatch, CorruptCheckpoint, PlanInvalid
 from thd.simulate import (
     aggregate,
-    checkpoint_load,
     checkpoint_write,
     input_digest,
     nearest_rank,
     plan_digest,
 )
 
-from conftest import write_version_1_checkpoint
+from conftest import flushed_sources, write_version_1_checkpoint
 
 FOREMOST_PLAN = SimulationPlan(metrics=(Metric.FOREMOST,), t0=0)
 
@@ -225,71 +226,100 @@ def test_plan_digest_ignores_execution_knobs(g1):
     assert plan_digest(a) != plan_digest(c)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    path = tmp_path / "ck"
-    docs = {"a": {"source": "a", "t0": 0, "metrics": {}}}
-    checkpoint_write(path, "ind", "pld", docs)
-    ind, pld, loaded = checkpoint_load(path)
-    assert (ind, pld) == ("ind", "pld")
-    assert loaded == docs
+def _g1_log(path, g1, sources="abcd"):
+    """A checkpoint log of ``sources`` under FOREMOST_PLAN on g1, with the real digests.
+
+    Returns the plan that resumes from it.
+    """
+    plan = replace(FOREMOST_PLAN, checkpoint_path=str(path))
+    docs = {doc["source"]: doc for doc in run(g1, FOREMOST_PLAN).to_document()["sources"]}
+    checkpoint_write(path, input_digest(g1), plan_digest(plan), {s: docs[s] for s in sources})
+    return plan
 
 
-def test_checkpoint_corruption_detected(tmp_path):
+def test_checkpoint_round_trip(tmp_path, g1):
+    plan = _g1_log(tmp_path / "ck", g1)
+    recomputed = []
+    resumed = run(g1, plan, progress=recomputed.append)
+    assert recomputed == []
+    assert resumed.labels == run(g1, FOREMOST_PLAN).labels
+    assert flushed_sources(tmp_path / "ck") == ["a", "b", "c", "d"]
+
+
+def test_checkpoint_corruption_detected(tmp_path, g1):
     path = tmp_path / "ck"
+    plan = replace(FOREMOST_PLAN, checkpoint_path=str(path))
     path.write_bytes(b"")
-    with pytest.raises(CorruptCheckpoint):
-        checkpoint_load(path)
+    with pytest.raises(CorruptCheckpoint, match="empty checkpoint file"):
+        run(g1, plan)
     path.write_bytes(b"not json\n")
-    with pytest.raises(CorruptCheckpoint):
-        checkpoint_load(path)
-    checkpoint_write(path, "i", "p", {"a": {"source": "a", "t0": 0, "metrics": {}}})
+    with pytest.raises(CorruptCheckpoint, match="unreadable header"):
+        run(g1, plan)
+    path.unlink()  # else the log would be appended to the bad header
+    _g1_log(path, g1, "a")
     raw = bytearray(path.read_bytes())
     raw[-3] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(CorruptCheckpoint):
-        checkpoint_load(path)
-
-
-def _empty_docs(sources):
-    return {s: {"source": s, "t0": 0, "metrics": {}} for s in sources}
+    with pytest.raises(CorruptCheckpoint, match="hash mismatch"):
+        run(g1, plan)
 
 
 @pytest.mark.parametrize("record", ["b", "c"])
-def test_checkpoint_corrupt_complete_record_refused(tmp_path, record):
+def test_checkpoint_corrupt_complete_record_refused(tmp_path, g1, record):
     path = tmp_path / "ck"
-    checkpoint_write(path, "i", "p", _empty_docs("abc"))
+    plan = _g1_log(path, g1, "abc")
     raw = bytearray(path.read_bytes())
     raw[raw.index(b'"source":"%s"' % record.encode()) - 2] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint, match="hash mismatch"):
-        checkpoint_load(path)
+        run(g1, plan)
 
 
-def test_checkpoint_duplicate_source_refused(tmp_path):
+def test_checkpoint_duplicate_source_refused(tmp_path, g1):
     path = tmp_path / "ck"
-    checkpoint_write(path, "i", "p", _empty_docs("ab"))
-    checkpoint_write(path, "i", "p", _empty_docs("b"))
+    plan = _g1_log(path, g1, "ab")
+    with_b_again = path.read_bytes() + path.read_bytes().splitlines(keepends=True)[-1]
+    path.write_bytes(with_b_again)
     with pytest.raises(CorruptCheckpoint, match="duplicate"):
-        checkpoint_load(path)
+        run(g1, plan)
 
 
-def test_checkpoint_version_1_refused(tmp_path):
+def test_checkpoint_version_1_refused(tmp_path, g1):
     path = tmp_path / "ck"
     write_version_1_checkpoint(path)
+    plan = replace(FOREMOST_PLAN, checkpoint_path=str(path))
     with pytest.raises(CorruptCheckpoint, match="unsupported version 1"):
-        checkpoint_load(path)
+        run(g1, plan)
 
 
 @pytest.mark.parametrize("missing", ["input_digest", "plan_digest"])
-def test_checkpoint_header_without_digest_refused(tmp_path, missing):
+def test_checkpoint_header_without_digest_refused(tmp_path, g1, missing):
     path = tmp_path / "ck"
-    checkpoint_write(path, "i", "p", _empty_docs("ab"))
+    plan = _g1_log(path, g1, "ab")
     header, _, records = path.read_bytes().partition(b"\n")
     doc = json.loads(header)
     del doc[missing]
     path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
     with pytest.raises(CorruptCheckpoint, match="lacks its input and plan digests"):
-        checkpoint_load(path)
+        run(g1, plan)
+
+
+def test_new_checkpoint_log_is_durable_once_renamed(tmp_path, monkeypatch):
+    # the rename that creates the log is durable only once its directory is fsynced
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = tmp_path / "ck"
+    checkpoint_write(path, "i", "p", {"a": {"source": "a", "t0": 0, "metrics": {}}})
+    assert synced == [False, True]
+    synced.clear()
+    checkpoint_write(path, "i", "p", {"b": {"source": "b", "t0": 0, "metrics": {}}})
+    assert synced == [False]
 
 
 def test_checkpoint_mismatch_refused(tmp_path, g1, g2):
@@ -342,7 +372,7 @@ def test_checkpoint_flushes_only_append(tmp_path, monkeypatch, parallelism):
     assert len(snapshots) == -(-h.vertex_count // 4)
     for before, after in zip(snapshots, snapshots[1:]):
         assert len(after) > len(before) and after.startswith(before)
-    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids)
+    assert flushed_sources(ck) == list(h.vertex_ids)
     assert len(snapshots[-1].splitlines()) == 1 + h.vertex_count  # header + one record each
 
 
@@ -363,7 +393,7 @@ def test_torn_tail_dropped_and_resume_byte_identical(tmp_path, caplog, paralleli
     starts = [i + 1 for i, byte in enumerate(full) if byte == ord("\n")]
     cut = (starts[kept] + starts[kept + 1]) // 2
     ck.write_bytes(full[:cut])
-    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids[:kept])
+    assert flushed_sources(ck) == list(h.vertex_ids[:kept])
 
     recomputed = []
     with caplog.at_level(logging.INFO, logger="thd.simulate"):
@@ -378,7 +408,7 @@ def test_torn_tail_dropped_and_resume_byte_identical(tmp_path, caplog, paralleli
 
     # the cut record was truncated away, not glued to the next append
     assert ck.read_bytes() == full
-    assert sorted(checkpoint_load(ck)[2]) == list(h.vertex_ids)
+    assert flushed_sources(ck) == list(h.vertex_ids)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -403,9 +433,9 @@ def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
         run(h, plan, progress=tripwire)
     assert simulate._WORKER_STATE is None
 
-    _, _, flushed = checkpoint_load(ck)
+    flushed = flushed_sources(ck)
     # last full interval of 2 before the interrupt, in source order
-    assert sorted(flushed) == list(h.vertex_ids[:6])
+    assert flushed == list(h.vertex_ids[:6])
 
     recomputed = []
     result = run(h, plan, progress=recomputed.append)
@@ -433,7 +463,7 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
 
     with pytest.raises(KeyboardInterrupt):
         run(h, plan, progress=tripwire)
-    assert sorted(checkpoint_load(plan.checkpoint_path)[2]) == list(h.vertex_ids[:9])
+    assert flushed_sources(plan.checkpoint_path) == list(h.vertex_ids[:9])
 
     recomputed = []
     resumed = run(h, plan, progress=recomputed.append)
@@ -443,6 +473,10 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     assert resumed.labels == fresh.labels
     assert resumed.summary == fresh.summary
     assert any(lab.witnesses for lab in resumed.labels)
+    # resumed labels are keyed by the network's own strings, not by fresh copies
+    from_log = [lab for lab in resumed.labels if lab.source in h.vertex_ids[:9]]
+    assert len(from_log) == 9 * len(metrics)
+    assert all(k is h.vertex_ids[h.index_of(k)] for lab in from_log for k in lab.values)
 
 
 # Runs a two-process checkpointed plan and, at the first finished source,
