@@ -13,9 +13,10 @@ calendar timestamps to milliseconds since the epoch.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,6 +33,7 @@ MIN_TICK = -(2**62)
 MAX_TICK = 2**62
 # surrogates (a lone JSON "\ud800" escape) are the only code points UTF-8 rejects
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_edge_id = attrgetter("id")  # the sort key of edges
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +93,11 @@ class NetworkStats:
 class TimeVaryingHypergraph:
     """Immutable network with interned vertices and a time-sorted incidence index.
 
-    Vertex ids are interned to dense indices ``0 .. |V|-1`` in lexicographic
-    id order; all internal arrays are indexed by those. Construction goes
-    through :func:`build_hypergraph`; instances are safe to share across
-    concurrent readers.
+    Vertex ids are interned to dense indices ``0 .. |V|-1`` and ``edges``
+    are stored, both in lexicographic id order, so comparing two indexes
+    compares their ids; all internal arrays are indexed by those.
+    Construction goes through :func:`build_hypergraph`; instances are safe
+    to share across concurrent readers.
     """
 
     vertex_ids: tuple[str, ...]
@@ -103,9 +106,9 @@ class TimeVaryingHypergraph:
     edge_starts: tuple[Tick, ...] = field(repr=False)
     edge_ends: tuple[Tick, ...] = field(repr=False)
     edge_members: tuple[tuple[int, ...], ...] = field(repr=False)
-    # per-vertex edge indexes, ascending (start, edge id)
+    # per-vertex edge indexes, ascending (start, edge index)
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
-    # every edge index, ascending (start, edge id): the foremost scan order
+    # every edge index, ascending (start, edge index): the scan order
     edge_order: tuple[int, ...] = field(repr=False)
     _vertex_index: Mapping[str, int] = field(repr=False)
 
@@ -128,37 +131,29 @@ class TimeVaryingHypergraph:
             raise UnknownVertex(f"vertex {vertex!r} not in hypergraph") from None
 
     def edge_by_id(self, edge_id: str) -> TemporalHyperedge:
-        idx = self._edge_index.get(edge_id)
-        if idx is None:
+        """The edge with this id, found by bisection; raises KeyError if absent."""
+        i = bisect_left(self.edges, edge_id, key=_edge_id)
+        if i == len(self.edges) or self.edges[i].id != edge_id:
             raise KeyError(edge_id)
-        return self.edges[idx]
-
-    @cached_property
-    def _edge_index(self) -> dict[str, int]:
-        # built on first lookup: scale runs never look edges up by id
-        return {e.id: i for i, e in enumerate(self.edges)}
+        return self.edges[i]
 
 
 def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHypergraph:
     """Assemble the immutable hypergraph from valid edge records.
 
-    The vertex table is the union of all participants, interned in
-    lexicographic order. The incidence index lists each (vertex, edge)
-    membership exactly once, sorted ascending by edge start with ties
-    broken by edge id, so iteration order is deterministic for any
-    input order of equal records; ``edge_order`` lists every edge in
-    that same order.
+    The vertex table is the union of all participants, and ``edges`` holds
+    the records; both are in lexicographic id order, whatever the input
+    order. The incidence index lists each (vertex, edge) membership exactly
+    once, sorted ascending by edge start with ties broken by edge id, that
+    is by edge index; ``edge_order`` lists every edge in that same order.
 
     Each record was validated when it was constructed, so the only
-    error left is DuplicateEdgeId, raised for the first repeated id.
+    error left is DuplicateEdgeId, raised for the smallest repeated id.
     """
-    edges = tuple(edge_records)
-    ids = [e.id for e in edges]
-    seen_ids: set[str] = set()
-    for edge_id in ids:
-        if edge_id in seen_ids:
-            raise DuplicateEdgeId(f"edge id {edge_id!r} appears more than once")
-        seen_ids.add(edge_id)
+    edges = tuple(sorted(edge_records, key=_edge_id))
+    for prev, edge in zip(edges, edges[1:]):
+        if prev.id == edge.id:
+            raise DuplicateEdgeId(f"edge id {edge.id!r} appears more than once")
 
     vertex_ids = tuple(sorted(set().union(*[e.participants for e in edges])))
     vertex_index = {v: i for i, v in enumerate(vertex_ids)}
@@ -168,9 +163,8 @@ def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHy
     index_of = vertex_index.__getitem__
     edge_members = tuple([tuple(sorted(map(index_of, e.participants))) for e in edges])
 
-    # (start, id) order: sort by id, then stably by start, both C-keyed
-    order = sorted(range(len(edges)), key=ids.__getitem__)
-    order.sort(key=edge_starts.__getitem__)
+    # (start, id) order: indexes are in id order, and the sort is stable
+    order = sorted(range(len(edges)), key=edge_starts.__getitem__)
     incidence_lists: list[list[int]] = [[] for _ in vertex_ids]
     for ei in order:
         for vi in edge_members[ei]:

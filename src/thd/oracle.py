@@ -72,16 +72,6 @@ def _walk_states(
     ends = h.edge_ends
     members = h.edge_members
 
-    # per-vertex incidence re-sorted by edge id for the DFS child order
-    by_id: dict[int, list[int]] = {}
-
-    def children(u: int) -> list[int]:
-        lst = by_id.get(u)
-        if lst is None:
-            lst = sorted(h.incidence[u], key=lambda ei: h.edges[ei].id)
-            by_id[u] = lst
-        return lst
-
     stack: list[_WalkState] = [(src, (), (), float("-inf"), float("inf"))]
     while stack:
         state = stack.pop()
@@ -91,7 +81,7 @@ def _walk_states(
             continue
         now = arrivals[-1] if arrivals else t0
         pushed: list[_WalkState] = []
-        for ei in children(u):
+        for ei in sorted(h.incidence[u]):  # edge id order, the DFS child order
             if ends[ei] < now:
                 continue
             arr = now if now >= starts[ei] else starts[ei]

@@ -172,17 +172,17 @@ def input_digest(h: TimeVaryingHypergraph) -> str:
     """Content hash of the network, independent of edge input order.
 
     SHA-256 of each edge's compact ``json.dumps([id, sorted(participants),
-    start, end], ensure_ascii=False)`` in id order, built by hand (member
-    indexes sort as ids do) and hashed a slice of edges at a time.
+    start, end], ensure_ascii=False)`` in id order, which is index order,
+    built by hand (member indexes sort as ids do) and hashed a slice of
+    edges at a time.
     """
     names = [encode_basestring(v) for v in h.vertex_ids]
-    ids = [e.id for e in h.edges]
+    ids = [encode_basestring(e.id) for e in h.edges]
     starts, ends, members = h.edge_starts, h.edge_ends, h.edge_members
-    order = sorted(range(len(ids)), key=ids.__getitem__)
     digest = hashlib.sha256()
-    for lo in range(0, len(order), 4096):
-        rows = (f'[{encode_basestring(ids[i])},[{",".join([names[v] for v in members[i]])}],'
-                f"{starts[i]},{ends[i]}]" for i in order[lo : lo + 4096])
+    for lo in range(0, len(ids), 4096):
+        rows = (f'[{ids[i]},[{",".join([names[v] for v in members[i]])}],'
+                f"{starts[i]},{ends[i]}]" for i in range(lo, min(lo + 4096, len(ids))))
         digest.update("".join(rows).encode("utf-8"))
     return digest.hexdigest()
 
@@ -303,6 +303,7 @@ def _resume(
     """
     path = plan.checkpoint_path
     own = {v: v for v in h.vertex_ids}
+    ticks = {t: t for t in h.edge_starts}
     planned = set(sources)
     metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
     done: dict[str, dict[Metric, DistanceLabels]] = {}
@@ -351,7 +352,7 @@ def _resume(
                     raise ValueError(f"t0 {t0!r} is not the planned t0 of source {source!r}")
                 if entries.keys() != {m.value for m in metrics}:
                     raise ValueError(f"metrics {sorted(entries)} are not the planned ones")
-                done[source] = {m: _entry_labels(own, source, t0, m, entries[m.value])
+                done[source] = {m: _entry_labels(own, ticks, source, t0, m, entries[m.value])
                                 for m in metrics}
             except ValueError as exc:  # a source document that does not fit
                 raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
@@ -361,15 +362,17 @@ def _resume(
     return done
 
 
-def _entry_labels(own: Mapping[str, str], source: str, t0: Tick, metric: Metric,
-                  entry: dict) -> DistanceLabels:
-    """One metric's entry of a checkpoint record as labels keyed by the network's own strings.
+def _entry_labels(own: Mapping[str, str], ticks: Mapping[Tick, Tick], source: str, t0: Tick,
+                  metric: Metric, entry: dict) -> DistanceLabels:
+    """One metric's entry of a checkpoint record as labels keyed by the network's own
+    strings, with each value that is an edge start as the network's own int.
 
     Raises ValueError unless every value is an int at a vertex of the network.
     """
-    values = {own.get(v): x for v, x in entry["values"].items()}
-    if None in values or any(type(x) is not int for x in values.values()):
+    values = entry["values"]
+    if any(type(x) is not int for x in values.values()) or not own.keys() >= values.keys():
         raise ValueError(f"{metric.value} values are not integers at vertices of the network")
+    values = {own[v]: ticks.get(x, x) for v, x in values.items()}
     preds, walks = entry.get("predecessors"), entry.get("witnesses")
     return DistanceLabels(
         source, t0, metric, values,

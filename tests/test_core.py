@@ -51,6 +51,14 @@ def test_incidence_tie_break_by_edge_id():
     )
     assert incident_ids(h, "a") == ["m", "z"]
     assert [h.edges[ei].id for ei in h.edge_order] == ["m", "z"]
+    assert [e.id for e in h.edges] == ["m", "z"]  # id order, not input order
+
+
+def test_edge_by_id(g1):
+    assert [g1.edge_by_id(i).start for i in ("e1", "e2", "e3")] == [1, 2, 4]
+    for missing in ("a", "e15", "z"):  # before, between and after the ids
+        with pytest.raises(KeyError):
+            g1.edge_by_id(missing)
 
 
 def test_unknown_vertex_has_no_index(g1):
@@ -69,7 +77,11 @@ def test_g1_stats(g1):
 
 def test_duplicate_edge_id_rejected():
     records = [hyperedge("e1", ["a", "b"], 0, 1), hyperedge("e1", ["b", "c"], 0, 1)]
-    with pytest.raises(DuplicateEdgeId):
+    with pytest.raises(DuplicateEdgeId, match="edge id 'e1' appears more than once"):
+        build_hypergraph(records)
+    # of several repeated ids, the smallest is named, whatever the input order
+    records = [hyperedge(i, ["a", "b"], 0, 1) for i in ("e2", "e2", "e1", "e1")]
+    with pytest.raises(DuplicateEdgeId, match="edge id 'e1' appears more than once"):
         build_hypergraph(records)
 
 
@@ -183,6 +195,7 @@ def edge_records(draw):
 def test_incidence_matches_naive_rebuild(records):
     """Differential check of the sorted index against a direct scan."""
     h = build_hypergraph(records)
+    assert [e.id for e in h.edges] == sorted(r.id for r in records)
     for vi, vertex in enumerate(h.vertex_ids):
         naive = sorted(
             (i for i, e in enumerate(h.edges) if vertex in e.participants),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from thd import (
@@ -19,6 +21,26 @@ def test_requested_counts_exact():
     st = stats(gen_random(params))
     assert st.vertex_count == 50
     assert st.edge_count == 120
+
+
+# sha256 of write_network for each generator, recorded before edges were
+# stored in id order: generated ids are zero-padded in generation order, so
+# the documents must not change (every perfbench network is a gen_random one)
+GEN_DIGESTS = [
+    (lambda: gen_random(GenParams(300, 1500, seed=3)),
+     "962d4a22c8c19e4ed4de3bb8fac4795763d634e4b293e0ca86ec0d0798f1f9ab"),
+    (lambda: gen_structured("chain", 12),
+     "0f81663a89118a346b88047f640ede19cee3991894082c7315a9a12077d6b37b"),
+    (lambda: gen_structured("star", 15),
+     "16a926af346aee2100b49d9d29d0e21521c33862b097cfef87234377bc2c0bef"),
+    (lambda: gen_structured("clique", 5),
+     "1cd2b930a8323b731ffb18ce4fbfbe92976a490a1668089239b64da35d414e53"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GEN_DIGESTS, ids=["random", "chain", "star", "clique"])
+def test_generated_documents_match_pinned_digests(make, digest):
+    assert hashlib.sha256(write_network(make())).hexdigest() == digest
 
 
 def test_same_seed_same_bytes():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
@@ -441,24 +442,23 @@ def test_predecessor_chains_terminate_at_source():
 # --- walk validation --------------------------------------------------------
 
 
-def test_validate_walk_rejects_bad_chaining(g1):
-    with pytest.raises(InfeasibleWalk):
-        validate_walk(g1, TemporalWalk("a", 0, (("e2", "c"),), (2,)))  # a not in e2
-
-
-def test_validate_walk_rejects_closed_edge(g1):
-    with pytest.raises(InfeasibleWalk):
-        validate_walk(g1, TemporalWalk("a", 4, (("e1", "b"),), (4,)))  # e1 ended at 3
-
-
-def test_validate_walk_rejects_wrong_arrival(g1):
-    with pytest.raises(InfeasibleWalk):
-        validate_walk(g1, TemporalWalk("a", 0, (("e1", "b"),), (0,)))  # must be max(0,1)=1
-
-
-def test_validate_walk_rejects_unknown_edge(g1):
-    with pytest.raises(InfeasibleWalk):
-        validate_walk(g1, TemporalWalk("a", 0, (("nope", "b"),), (0,)))
+@pytest.mark.parametrize(
+    "walk, message",
+    [
+        (TemporalWalk("z", 0, (), ()), "source 'z' not in hypergraph"),
+        (TemporalWalk("a", 0, (("e1", "b"),), ()), "hops and arrivals differ in length"),
+        (TemporalWalk("a", 0, (("nope", "b"),), (0,)), "hop 0: unknown edge 'nope'"),
+        (TemporalWalk("a", 0, (("e2", "c"),), (2,)), "hop 0: 'a' does not join edge 'e2'"),
+        (TemporalWalk("a", 0, (("e1", "d"),), (1,)), "hop 0: 'd' does not join edge 'e1'"),
+        (TemporalWalk("a", 4, (("e1", "b"),), (4,)), "hop 0: edge 'e1' closed at 3, reached at 4"),
+        (TemporalWalk("a", 0, (("e1", "b"),), (0,)), "hop 0: arrival 0 != max(prev, start) = 1"),
+    ],
+    ids=["unknown-source", "lengths-differ", "unknown-edge", "bad-chaining",
+         "via-not-on-edge", "closed-edge", "wrong-arrival"],
+)
+def test_validate_walk_rejects(g1, walk, message):
+    with pytest.raises(InfeasibleWalk, match=re.escape(message)):
+        validate_walk(g1, walk)
 
 
 def test_validate_walk_accepts_empty(g1):

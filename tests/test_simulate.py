@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import signal
 import stat
 import subprocess
@@ -156,6 +157,37 @@ def test_parallelism_does_not_change_bytes():
         )
         outs.append(write_results(run(h, plan)))
     assert outs[0] == outs[1] == outs[2]
+
+
+# sha256 of the JSON and CSV results of both plans below, recorded while
+# the tie rules still compared edge id strings
+TIE_DIGEST = "7ec8b0a805c2edfc676427f79ed0e4fe935f4b2dba76c84da4cdbcf32b3202a7"
+
+
+def test_tie_rules_follow_ids_not_input_order():
+    params = GenParams(vertex_count=30, edge_count=150, span=40, max_length=6, seed=11)
+    records = list(gen_random(params).edges)
+    rng = random.Random(11)
+    perm = list(range(len(records)))
+    rng.shuffle(perm)
+    # unpadded, mixed-prefix and non-ASCII ids, so that lexical order is
+    # neither file order nor start order
+    records = [replace(e, id=("e", "x", "é")[k % 3] + str(k)) for e, k in zip(records, perm)]
+    shuffled = records[::-1]
+    rng.shuffle(shuffled)
+    by_id = sorted(records, key=lambda e: e.id)
+    assert by_id not in (records, shuffled, sorted(records, key=lambda e: e.start))
+    metrics = (Metric.FOREMOST, Metric.SHORTEST, Metric.FASTEST)
+    plans = [
+        SimulationPlan(metrics=metrics, keep_predecessors=True),
+        SimulationPlan(metrics=metrics, keep_predecessors=True, t0=3, horizon=25),
+    ]
+    outputs = []
+    for network in (records, shuffled):
+        h = build_hypergraph(network)
+        outputs.append([write_results(run(h, p), fmt) for p in plans for fmt in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(b"".join(outputs[0])).hexdigest() == TIE_DIGEST
 
 
 def test_horizon_monotonicity_seeded():
@@ -446,8 +478,11 @@ def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, parallelism):
     # resumed sources come back from their checkpoint records: predecessors,
-    # witness walks and per-source t0 must survive the round trip exactly
-    h = small_net(seed=16)
+    # witness walks and per-source t0 must survive the round trip exactly;
+    # ticks are shifted past 256, beyond CPython's cached small ints
+    h = build_hypergraph(
+        [replace(e, start=e.start + 1000, end=e.end + 1000) for e in small_net(seed=16).edges]
+    )
     metrics = (Metric.FASTEST, Metric.FOREMOST, Metric.SHORTEST)
     fresh = run(h, SimulationPlan(metrics=metrics, keep_predecessors=True))
     plan = SimulationPlan(
@@ -477,6 +512,11 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     from_log = [lab for lab in resumed.labels if lab.source in h.vertex_ids[:9]]
     assert len(from_log) == 9 * len(metrics)
     assert all(k is h.vertex_ids[h.index_of(k)] for lab in from_log for k in lab.values)
+    # and their foremost values are the network's own tick objects
+    own_ticks = {id(t) for t in h.edge_starts}
+    ticks = [x for lab in from_log if lab.metric is Metric.FOREMOST for x in lab.values.values()]
+    assert min(ticks) > 256
+    assert all(id(x) in own_ticks for x in ticks)
 
 
 # Runs a two-process checkpointed plan and, at the first finished source,
