@@ -25,10 +25,10 @@ from . import __version__
 from .core import build_hypergraph, stats
 from .errors import ThdError, Unreached
 from .gen import GenParams, gen_desk_instance, gen_random, gen_structured
-from .io import read_network, write_network, write_results
+from .io import read_network, walk_doc, write_network, write_results
 from .oracle import differential_report
 from .paths import Metric, reconstruct_walk
-from .simulate import SimulationPlan, compute_labels, run, validate_plan, walk_doc
+from .simulate import SimulationPlan, compute_labels, run, validate_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

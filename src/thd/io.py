@@ -23,7 +23,8 @@ record, lenient mode skips and counts them.
 
 All emitted JSON is canonical (sorted keys, compact separators, shortest
 float repr, trailing newline) so byte comparison is a valid equality
-check for results.
+check for results. This module alone knows a result's layout: it encodes
+and decodes the per-source documents that checkpoint records also carry.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ import re
 from codecs import getincrementaldecoder
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, BinaryIO, Iterable
+from itertools import groupby
+from operator import attrgetter
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
-from .core import TemporalHyperedge, TimeVaryingHypergraph
+from .core import TemporalHyperedge, Tick, TimeVaryingHypergraph
 from .errors import HypergraphError, MalformedJson, MixedTimeEncodings, RecordInvalid
+from .paths import DistanceLabels, Metric, TemporalWalk
 
 if TYPE_CHECKING:
     from .simulate import DiffusionResult
@@ -354,6 +358,63 @@ def write_network(
     return canonical_json_bytes(doc)
 
 
+def walk_doc(walk: TemporalWalk) -> dict:
+    """JSON form of a witness walk, as result files and ``thd query --json`` carry it."""
+    return {
+        "departure": walk.departure,
+        "hops": [[e, v] for e, v in walk.hops],
+        "arrivals": list(walk.arrivals),
+    }
+
+
+def source_doc(labels: Iterable[DistanceLabels]) -> dict:
+    """One source's document, as result files and checkpoint records carry it.
+
+    Built from that source's labels, one per metric, which give ``source``
+    and ``t0``; the document shares each values map instead of copying it.
+    """
+    metrics_doc: dict[str, dict] = {}
+    for lab in labels:
+        entry: dict = {"values": lab.values}
+        if lab.predecessors is not None:
+            entry["predecessors"] = {v: list(p) for v, p in lab.predecessors.items()}
+        if lab.witnesses is not None:
+            entry["witnesses"] = {v: walk_doc(w) for v, w in lab.witnesses.items()}
+        metrics_doc[lab.metric.value] = entry
+    return {"source": lab.source, "t0": lab.t0, "metrics": metrics_doc}
+
+
+def entry_labels(own: Mapping[str, str], shared: dict, source: str, t0: Tick,
+                 metric: Metric, entry: dict) -> DistanceLabels:
+    """One metric's entry of a ``source_doc`` as labels made of the network's own objects.
+
+    ``own`` maps vertex ids, and ``shared`` edge ids and ticks (starts entered after
+    ends), to the network's objects; each ``(edge id, vertex)`` pair is added to
+    ``shared``, so equal hops are one tuple. Raises ValueError unless every value is
+    an int at a vertex of the network, and KeyError for a predecessor or hop off it.
+    """
+    values = entry["values"]
+    if any(type(x) is not int for x in values.values()) or not own.keys() >= values.keys():
+        raise ValueError(f"{metric.value} values are not integers at vertices of the network")
+    values = {own[v]: shared.get(x, x) for v, x in values.items()}
+    preds, walks = entry.get("predecessors"), entry.get("witnesses")
+
+    def hop(e: str, v: str) -> tuple[str, str]:
+        pair = (shared[e], own[v])
+        return shared.setdefault(pair, pair)
+
+    return DistanceLabels(
+        source, t0, metric, values,
+        None if preds is None else {own[v]: hop(*p) for v, p in preds.items()},
+        None if walks is None else {
+            own[v]: TemporalWalk(source, shared.get(w["departure"], w["departure"]),
+                                 tuple([hop(*p) for p in w["hops"]]),
+                                 tuple([shared.get(x, x) for x in w["arrivals"]]))
+            for v, w in walks.items()
+        },
+    )
+
+
 def write_results(result: "DiffusionResult", fmt: str = "json") -> bytes:
     """Serialize a simulation result; canonical JSON or flat CSV.
 
@@ -361,7 +422,9 @@ def write_results(result: "DiffusionResult", fmt: str = "json") -> bytes:
     source, then metric, then vertex.
     """
     if fmt == "json":
-        return canonical_json_bytes(result.to_document())
+        sources = [source_doc(g) for _, g in groupby(result.labels, attrgetter("source"))]
+        return canonical_json_bytes({"schema": 1, "kind": "thd-result", "provenance": result.provenance,
+                                     "sources": sources, "summary": result.summary})
     if fmt == "csv":
         out = _stdio.StringIO()
         writer = csv.writer(out, lineterminator="\n")

@@ -3,12 +3,12 @@
 Work is partitioned per source (embarrassingly parallel); the hypergraph
 is shared read-only and per-source results are merged in source-id order,
 so serialized output is byte-identical for any parallelism degree. Long
-runs append completed sources to a checkpoint log bound to the exact
-input and plan by digest. Each record carries its own hash, so a flush
-writes only the sources completed since the last one, and a record torn
-by a crash is dropped on resume. A resumed run reads the log one record
-at a time, decodes each completed source once, and refuses as corrupt
-any record that does not fit the plan and the network.
+runs append completed sources, encoded by ``io.source_doc``, to a log
+bound to the exact input and plan by digest. Each record carries its own
+hash, so a flush writes only the sources completed since the last one,
+and a torn record is dropped on resume. A resumed run reads the log one
+record at a time, decodes each source once through ``io.entry_labels``,
+and refuses as corrupt any record that does not fit the plan and network.
 """
 
 from __future__ import annotations
@@ -22,22 +22,19 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .core import Tick, TimeVaryingHypergraph
 from .errors import CheckpointMismatch, CorruptCheckpoint, PlanInvalid
-from .io import canonical_json_bytes
+from .io import canonical_json_bytes, entry_labels, source_doc
 from .paths import (
     METRIC_ORDER,
     DistanceLabels,
     Metric,
-    TemporalWalk,
     fastest,
     foremost,
     shortest,
@@ -94,22 +91,13 @@ class SimulationPlan:
 class DiffusionResult:
     """Per-source labels (ordered by source id, then metric) plus summary.
 
-    The labels are the only per-source form kept; ``to_document`` builds
-    each source's document from them on every call.
+    The labels are the only per-source form kept; ``io.write_results``
+    builds the result document from them.
     """
 
     labels: tuple[DistanceLabels, ...]
     summary: dict
     provenance: dict
-
-    def to_document(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "thd-result",
-            "provenance": self.provenance,
-            "sources": [_source_doc(g) for _, g in groupby(self.labels, attrgetter("source"))],
-            "summary": self.summary,
-        }
 
 
 def validate_plan(h: TimeVaryingHypergraph, plan: SimulationPlan) -> None:
@@ -192,7 +180,7 @@ def plan_digest(plan: SimulationPlan) -> str:
 
 
 # --------------------------------------------------------------------------
-# per-source computation and its serialized form
+# per-source computation
 # --------------------------------------------------------------------------
 
 
@@ -217,32 +205,6 @@ def compute_labels(
         else:
             out[m] = fastest(h, source, t0, plan.horizon, keep)
     return out
-
-
-def walk_doc(walk: TemporalWalk) -> dict:
-    """JSON form of a witness walk, as result files and ``thd query --json`` carry it."""
-    return {
-        "departure": walk.departure,
-        "hops": [[e, v] for e, v in walk.hops],
-        "arrivals": list(walk.arrivals),
-    }
-
-
-def _source_doc(labels: Iterable[DistanceLabels]) -> dict:
-    """One source's document, as result files and checkpoint records carry it.
-
-    Built from that source's labels, one per metric, which give ``source``
-    and ``t0``; the document shares each values map instead of copying it.
-    """
-    metrics_doc: dict[str, dict] = {}
-    for lab in labels:
-        entry: dict = {"values": lab.values}
-        if lab.predecessors is not None:
-            entry["predecessors"] = {v: list(p) for v, p in lab.predecessors.items()}
-        if lab.witnesses is not None:
-            entry["witnesses"] = {v: walk_doc(w) for v, w in lab.witnesses.items()}
-        metrics_doc[lab.metric.value] = entry
-    return {"source": lab.source, "t0": lab.t0, "metrics": metrics_doc}
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +265,7 @@ def _resume(
     """
     path = plan.checkpoint_path
     own = {v: v for v in h.vertex_ids}
-    ticks = {t: t for t in h.edge_starts}
+    shared = {x: x for x in (*h.edge_ends, *h.edge_starts, *(e.id for e in h.edges))}
     planned = set(sources)
     metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
     done: dict[str, dict[Metric, DistanceLabels]] = {}
@@ -352,7 +314,7 @@ def _resume(
                     raise ValueError(f"t0 {t0!r} is not the planned t0 of source {source!r}")
                 if entries.keys() != {m.value for m in metrics}:
                     raise ValueError(f"metrics {sorted(entries)} are not the planned ones")
-                done[source] = {m: _entry_labels(own, ticks, source, t0, m, entries[m.value])
+                done[source] = {m: entry_labels(own, shared, source, t0, m, entries[m.value])
                                 for m in metrics}
             except ValueError as exc:  # a source document that does not fit
                 raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
@@ -360,29 +322,6 @@ def _resume(
                 raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc!r}") from None
     log.info("checkpoint: %d of %d sources already complete", len(done), len(sources))
     return done
-
-
-def _entry_labels(own: Mapping[str, str], ticks: Mapping[Tick, Tick], source: str, t0: Tick,
-                  metric: Metric, entry: dict) -> DistanceLabels:
-    """One metric's entry of a checkpoint record as labels keyed by the network's own
-    strings, with each value that is an edge start as the network's own int.
-
-    Raises ValueError unless every value is an int at a vertex of the network.
-    """
-    values = entry["values"]
-    if any(type(x) is not int for x in values.values()) or not own.keys() >= values.keys():
-        raise ValueError(f"{metric.value} values are not integers at vertices of the network")
-    values = {own[v]: ticks.get(x, x) for v, x in values.items()}
-    preds, walks = entry.get("predecessors"), entry.get("witnesses")
-    return DistanceLabels(
-        source, t0, metric, values,
-        None if preds is None else {own[v]: tuple(p) for v, p in preds.items()},
-        None if walks is None else {
-            own[v]: TemporalWalk(source, w["departure"], tuple(map(tuple, w["hops"])),
-                                 tuple(w["arrivals"]))
-            for v, w in walks.items()
-        },
-    )
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +424,11 @@ def _source_labels(
             with ProcessPoolExecutor(
                 workers, ctx, initializer=_exit_with_parent, initargs=(os.getpid(),)
             ) as pool:
-                yield from pool.map(_compute_labels, todo)
+                own = {v: v for v in h.vertex_ids}  # unpickled labels hold fresh copies
+                ticks = {t: t for t in h.edge_starts}
+                for labels in pool.map(_compute_labels, todo):
+                    yield {m: replace(lab, values={own[v]: ticks.get(x, x) for v, x in lab.values.items()})
+                           for m, lab in labels.items()}
         else:
             yield from map(_compute_labels, todo)
     finally:
@@ -526,7 +469,7 @@ def run(
             if progress is not None:
                 progress(source)
             if ck and (n % plan.checkpoint_interval == 0 or n == len(todo)):
-                docs = {s: _source_doc(done[s].values()) for s in todo[flushed:n]}
+                docs = {s: source_doc(done[s].values()) for s in todo[flushed:n]}
                 checkpoint_write(ck, in_digest, p_digest, docs)
                 flushed = n
 

@@ -226,12 +226,20 @@ def _unplanned_source(doc):
     doc["source"] = "c"
 
 
+def _unknown_prior(doc):
+    doc["metrics"]["foremost"]["predecessors"]["a"][1] = "zz"
+
+
+def _unknown_edge(doc):
+    doc["metrics"]["foremost"]["predecessors"]["a"][0] = "zz"
+
+
 @pytest.mark.parametrize(
     "damage",
     [_list_source, _no_metrics, _bogus_metric, _string_value, _string_t0, _unknown_vertex,
-     _unplanned_source],
+     _unplanned_source, _unknown_prior, _unknown_edge],
     ids=["list-source", "no-metrics", "bogus-metric", "string-value", "string-t0",
-         "unknown-vertex", "unplanned-source"],
+         "unknown-vertex", "unplanned-source", "unknown-prior", "unknown-edge"],
 )
 def test_simulate_checkpoint_record_not_a_source_document_exits_1(
     g1_file, tmp_path, capsys, damage
@@ -239,7 +247,7 @@ def test_simulate_checkpoint_record_not_a_source_document_exits_1(
     ck = tmp_path / "ck"
     out = tmp_path / "r.json"
     args = ["simulate", g1_file, "-o", str(out), "--t0", "0", "--sources", "a,b",
-            "--checkpoint", str(ck)]
+            "--keep-predecessors", "--checkpoint", str(ck)]
     assert main(args) == 0
     header, first, second = ck.read_bytes().splitlines(keepends=True)
     doc = json.loads(second.partition(b" ")[2])

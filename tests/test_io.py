@@ -18,7 +18,7 @@ from thd import (
 )
 from thd.errors import MalformedJson, MixedTimeEncodings, RecordInvalid
 from thd import io as thd_io
-from thd.io import canonical_json_bytes
+from thd.io import canonical_json_bytes, entry_labels
 
 
 def test_empty_document():
@@ -436,11 +436,21 @@ def test_unknown_format_rejected(g1):
 
 
 def test_results_round_trip_structurally(g1):
-    plan = SimulationPlan(metrics=(Metric.FOREMOST, Metric.FASTEST), t0=0)
-    result = run(g1, plan)
+    metrics = (Metric.FOREMOST, Metric.SHORTEST, Metric.FASTEST)
+    result = run(g1, SimulationPlan(metrics=metrics, t0=0, keep_predecessors=True))
     data = write_results(result, "json")
-    assert json.loads(data) == result.to_document()
-    assert canonical_json_bytes(json.loads(data)) == data
+    doc = json.loads(data)
+    assert canonical_json_bytes(doc) == data
+    assert (doc["schema"], doc["kind"]) == (1, "thd-result")
+    assert (doc["provenance"], doc["summary"]) == (result.provenance, result.summary)
+    # each source's document decodes back into its labels
+    own = {v: v for v in g1.vertex_ids}
+    shared = {x: x for x in (*g1.edge_ends, *g1.edge_starts, *(e.id for e in g1.edges))}
+    decoded = tuple(
+        entry_labels(own, shared, d["source"], d["t0"], m, d["metrics"][m.value])
+        for d in doc["sources"] for m in metrics
+    )
+    assert decoded == result.labels
 
 
 def test_canonical_json_bytes_deterministic():

@@ -29,8 +29,9 @@ from thd.errors import (
     Unreached,
     UnknownVertex,
 )
+from thd.io import walk_doc
 from thd.paths import NEVER, DistanceLabels, Metric, fastest_departure_candidates
-from thd.simulate import walk_doc
+from thd.simulate import SimulationPlan, resolve_t0
 
 # hand-derived distance matrices for the shared fixtures, t0 = 0;
 # test_acceptance re-confirms every entry against the enumeration oracle
@@ -773,6 +774,32 @@ def test_shortest_matches_reference_seeded():
                     got = shortest(h, source, t0, max_hops, horizon, keep)
                     want = _shortest_reference(h, source, t0, max_hops, horizon, keep)
                     assert got == want, (seed, source, t0, horizon, max_hops, keep)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(vertex_count=1000, edge_count=5000, span=100_000, max_length=5_000, seed=19),
+        GenParams(vertex_count=1500, edge_count=6000, span=300, max_length=20, seed=19),
+    ],
+    ids=["sparse-ticks", "tie-dense"],
+)
+def test_every_kernel_matches_its_reference_mid_size(params):
+    # the seeded tests above use at most 40 vertices; here each kernel meets
+    # its reference on networks of a thousand and more, at t0 0 and at each
+    # source's default t0, with and without a horizon
+    h = gen_random(params)
+    n = h.vertex_count
+    for source in random.Random(params.seed).sample(h.vertex_ids, 6):
+        for t0 in (0, resolve_t0(h, SimulationPlan(), source)):
+            for horizon in (None, t0 + params.span // 5):
+                labels = foremost(h, source, t0, horizon)
+                want = _foremost_by_heap(h, source, t0, horizon, True)
+                assert (labels.values, labels.predecessors) == want
+                want = _fastest_heap_reference(h, source, t0, horizon)
+                assert fastest(h, source, t0, horizon, False).values == want
+                want = _shortest_reference(h, source, t0, n, horizon)
+                assert shortest(h, source, t0, n, horizon) == want
 
 
 def test_shortest_reexpansion_relaxes_edges_skipped_at_a_later_arrival():

@@ -44,6 +44,22 @@ def small_net(seed=5):
     return gen_random(GenParams(vertex_count=40, edge_count=120, span=60, seed=seed))
 
 
+def shifted_net(seed):
+    """small_net with every tick past 256, beyond CPython's cached small ints."""
+    return build_hypergraph(
+        [replace(e, start=e.start + 1000, end=e.end + 1000) for e in small_net(seed).edges]
+    )
+
+
+def assert_values_share_network_objects(h, labels):
+    """Values are keyed by the network's own strings, and foremost values are its own ticks."""
+    assert all(k is h.vertex_ids[h.index_of(k)] for lab in labels for k in lab.values)
+    own_ticks = {id(t) for t in h.edge_starts}
+    ticks = [x for lab in labels if lab.metric is Metric.FOREMOST for x in lab.values.values()]
+    assert ticks and min(ticks) > 256
+    assert all(id(x) in own_ticks for x in ticks)
+
+
 # --- plan validation --------------------------------------------------------
 
 
@@ -96,7 +112,7 @@ def test_g1_all_sources_foremost(g1):
 
 def test_default_t0_is_earliest_incident_start(g1):
     result = run(g1, SimulationPlan(metrics=(Metric.FOREMOST,)))
-    t0s = {d["source"]: d["t0"] for d in result.to_document()["sources"]}
+    t0s = {d["source"]: d["t0"] for d in json.loads(write_results(result))["sources"]}
     assert t0s == {"a": 1, "b": 1, "c": 2, "d": 4}
 
 
@@ -138,7 +154,7 @@ def test_keep_predecessors_round_trips(g1):
         keep_predecessors=True,
     )
     result = run(g1, plan)
-    doc = result.to_document()
+    doc = json.loads(write_results(result))
     for source_doc in doc["sources"]:
         for entry in source_doc["metrics"].values():
             assert "predecessors" in entry
@@ -157,6 +173,15 @@ def test_parallelism_does_not_change_bytes():
         )
         outs.append(write_results(run(h, plan)))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_pooled_labels_share_the_network_objects():
+    # labels come back from the pool unpickled, as fresh strings and ints
+    h = shifted_net(seed=16)
+    plan = SimulationPlan(metrics=(Metric.FOREMOST, Metric.FASTEST), parallelism=2)
+    result = run(h, plan)
+    assert_values_share_network_objects(h, result.labels)
+    assert write_results(result) == write_results(run(h, replace(plan, parallelism=1)))
 
 
 # sha256 of the JSON and CSV results of both plans below, recorded while
@@ -264,7 +289,7 @@ def _g1_log(path, g1, sources="abcd"):
     Returns the plan that resumes from it.
     """
     plan = replace(FOREMOST_PLAN, checkpoint_path=str(path))
-    docs = {doc["source"]: doc for doc in run(g1, FOREMOST_PLAN).to_document()["sources"]}
+    docs = {doc["source"]: doc for doc in json.loads(write_results(run(g1, FOREMOST_PLAN)))["sources"]}
     checkpoint_write(path, input_digest(g1), plan_digest(plan), {s: docs[s] for s in sources})
     return plan
 
@@ -478,11 +503,8 @@ def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, parallelism):
     # resumed sources come back from their checkpoint records: predecessors,
-    # witness walks and per-source t0 must survive the round trip exactly;
-    # ticks are shifted past 256, beyond CPython's cached small ints
-    h = build_hypergraph(
-        [replace(e, start=e.start + 1000, end=e.end + 1000) for e in small_net(seed=16).edges]
-    )
+    # witness walks and per-source t0 must survive the round trip exactly
+    h = shifted_net(seed=16)
     metrics = (Metric.FASTEST, Metric.FOREMOST, Metric.SHORTEST)
     fresh = run(h, SimulationPlan(metrics=metrics, keep_predecessors=True))
     plan = SimulationPlan(
@@ -508,15 +530,15 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     assert resumed.labels == fresh.labels
     assert resumed.summary == fresh.summary
     assert any(lab.witnesses for lab in resumed.labels)
-    # resumed labels are keyed by the network's own strings, not by fresh copies
+    # resumed labels are made of the network's own objects, not of fresh copies
     from_log = [lab for lab in resumed.labels if lab.source in h.vertex_ids[:9]]
     assert len(from_log) == 9 * len(metrics)
-    assert all(k is h.vertex_ids[h.index_of(k)] for lab in from_log for k in lab.values)
-    # and their foremost values are the network's own tick objects
-    own_ticks = {id(t) for t in h.edge_starts}
-    ticks = [x for lab in from_log if lab.metric is Metric.FOREMOST for x in lab.values.values()]
-    assert min(ticks) > 256
-    assert all(id(x) in own_ticks for x in ticks)
+    assert_values_share_network_objects(h, from_log)
+    own_edge_ids = {id(e.id) for e in h.edges}
+    hops = [hop for lab in from_log for hop in lab.predecessors.values()]
+    hops += [hop for lab in from_log if lab.witnesses for w in lab.witnesses.values() for hop in w.hops]
+    assert len(hops) > 100
+    assert all(id(e) in own_edge_ids and v is h.vertex_ids[h.index_of(v)] for e, v in hops)
 
 
 # Runs a two-process checkpointed plan and, at the first finished source,
