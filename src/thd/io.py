@@ -55,6 +55,9 @@ MAX_VALUE_BYTES = 8 * 1024 * 1024
 _CHUNK = 64 * 1024
 _WS = re.compile(r"[ \t\n\r]*")
 _COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
+# the one timestamp grammar on every Python (``fromisoformat``'s grew in 3.11):
+# YYYY-MM-DD, T or a space, HH:MM:SS, an optional 3- or 6-digit fraction, Z or +-HH:MM
+_CALENDAR = re.compile(r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(\.\d{3}(\d{3})?)?(Z|[+-]\d\d:\d\d)?", re.ASCII)
 
 
 def canonical_json_bytes(obj: object) -> bytes:
@@ -161,10 +164,12 @@ class _IncrementalReader:
 
 
 def _calendar_to_ms(text: str) -> int:
-    s = text[:-1] + "+00:00" if text.endswith("Z") else text
+    """Milliseconds since the epoch of a ``_CALENDAR`` timestamp; ValueError otherwise."""
     try:
-        dt = datetime.fromisoformat(s)
-    except ValueError:
+        if not _CALENDAR.fullmatch(text):
+            raise ValueError
+        dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
+    except ValueError:  # off the grammar, or a field out of range
         raise ValueError(f"not an ISO-8601 timestamp: {text!r}") from None
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
@@ -360,24 +365,21 @@ def write_network(
 
 def walk_doc(walk: TemporalWalk) -> dict:
     """JSON form of a witness walk, as result files and ``thd query --json`` carry it."""
-    return {
-        "departure": walk.departure,
-        "hops": [[e, v] for e, v in walk.hops],
-        "arrivals": list(walk.arrivals),
-    }
+    return {"departure": walk.departure, "hops": walk.hops, "arrivals": walk.arrivals}
 
 
 def source_doc(labels: Iterable[DistanceLabels]) -> dict:
     """One source's document, as result files and checkpoint records carry it.
 
     Built from that source's labels, one per metric, which give ``source``
-    and ``t0``; the document shares each values map instead of copying it.
+    and ``t0``; it shares each values and predecessors map and each walk's
+    tuples, which JSON writes as arrays, instead of copying them.
     """
     metrics_doc: dict[str, dict] = {}
     for lab in labels:
         entry: dict = {"values": lab.values}
         if lab.predecessors is not None:
-            entry["predecessors"] = {v: list(p) for v, p in lab.predecessors.items()}
+            entry["predecessors"] = lab.predecessors
         if lab.witnesses is not None:
             entry["witnesses"] = {v: walk_doc(w) for v, w in lab.witnesses.items()}
         metrics_doc[lab.metric.value] = entry

@@ -1,14 +1,16 @@
 """All-sources diffusion runs: planning, execution, aggregation, checkpoints.
 
 Work is partitioned per source (embarrassingly parallel); the hypergraph
-is shared read-only and per-source results are merged in source-id order,
-so serialized output is byte-identical for any parallelism degree. Long
-runs append completed sources, encoded by ``io.source_doc``, to a log
-bound to the exact input and plan by digest. Each record carries its own
-hash, so a flush writes only the sources completed since the last one,
-and a torn record is dropped on resume. A resumed run reads the log one
-record at a time, decodes each source once through ``io.entry_labels``,
-and refuses as corrupt any record that does not fit the plan and network.
+is shared read-only, and handed to pool workers as they fork. Per-source
+results are merged in source-id order, so serialized output is
+byte-identical for any parallelism degree; the summary counts each
+metric's label values instead of pooling them. Long runs append completed
+sources, encoded by ``io.source_doc``, to a log bound to the exact input
+and plan by digest. Each record carries its own hash, so a flush writes
+only the sources completed since the last one, and a torn record is
+dropped on resume. A resumed run reads the log one record at a time,
+decodes each source once through ``io.entry_labels``, and refuses as
+corrupt any record that does not fit the plan and network.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import multiprocessing
 import os
 import threading
 import time
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -329,11 +334,11 @@ def _resume(
 # --------------------------------------------------------------------------
 
 
-def nearest_rank(sorted_values: Sequence[int], percentile: int) -> int:
-    """Nearest-rank percentile of an ascending sequence (1-based rank)."""
-    n = len(sorted_values)
-    rank = max(1, -(-percentile * n // 100))
-    return sorted_values[rank - 1]
+def nearest_rank(counts: Mapping[int, int], percentile: int) -> int:
+    """Nearest-rank percentile (1-based rank) of a multiset given as value -> count."""
+    values = sorted(counts)
+    running = list(accumulate(counts[x] for x in values))
+    return values[bisect_left(running, max(1, -(-percentile * running[-1] // 100)))]
 
 
 def aggregate(
@@ -342,12 +347,12 @@ def aggregate(
     """Summary statistics as a pure function of the per-source labels.
 
     Per source: reached count (label map size) and reachability ratio.
-    Network level: p50/p90/p99 by nearest rank over the pooled multiset of
-    label values per metric, null when nothing was reached.
+    Network level: p50/p90/p99 by nearest rank over the multiset of label
+    values per metric, one ``Counter`` each, null when nothing was reached.
     """
     seen = set()
     per_source = []
-    pooled: dict[Metric, list[int]] = {}
+    counts: dict[Metric, Counter[int]] = {}
     for labels in label_sets:
         entry: dict = {"source": None, "reached": {}, "ratio": {}}
         for m in METRIC_ORDER:
@@ -357,23 +362,16 @@ def aggregate(
             entry["source"] = lab.source
             entry["reached"][m.value] = len(lab.values)
             entry["ratio"][m.value] = len(lab.values) / vertex_count if vertex_count else 0.0
-            pooled.setdefault(m, []).extend(lab.values.values())
+            counts.setdefault(m, Counter()).update(lab.values.values())
         if labels and entry["source"] in seen:
             raise PlanInvalid(f"conflicting label sets for source {entry['source']!r}")
         seen.add(entry["source"])
         per_source.append(entry)
 
-    quantiles: dict[str, dict | None] = {}
-    for m, values in pooled.items():
-        if not values:
-            quantiles[m.value] = None
-            continue
-        values.sort()
-        quantiles[m.value] = {
-            "p50": nearest_rank(values, 50),
-            "p90": nearest_rank(values, 90),
-            "p99": nearest_rank(values, 99),
-        }
+    quantiles = {
+        m.value: {f"p{p}": nearest_rank(c, p) for p in (50, 90, 99)} if c else None
+        for m, c in counts.items()
+    }
     return {
         "vertex_count": vertex_count,
         "per_source": per_source,
@@ -385,19 +383,20 @@ def aggregate(
 # execution
 # --------------------------------------------------------------------------
 
-_WORKER_STATE: tuple[TimeVaryingHypergraph, SimulationPlan] | None = None
+_WORKER_STATE: tuple[TimeVaryingHypergraph, SimulationPlan] | None = None  # pool workers only
 
 
 def _compute_labels(source: str) -> dict[Metric, DistanceLabels]:
-    """One source's labels as ``compute_labels`` returns them; no document is built."""
-    assert _WORKER_STATE is not None
-    h, plan = _WORKER_STATE
-    return compute_labels(h, plan, source)
+    """A pool worker's ``compute_labels`` of one source, on the network and plan it was given."""
+    return compute_labels(*_WORKER_STATE, source)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: a killed parent cannot shut its pool down, so each
-    worker exits by itself once ``parent`` is gone instead of idling on."""
+def _init_worker(parent: int, h: TimeVaryingHypergraph, plan: SimulationPlan) -> None:
+    """Pool initializer: keep the network and plan for ``_compute_labels`` (a fork
+    passes them without pickling), and exit once ``parent`` is gone instead of
+    idling on, since a killed parent cannot shut its pool down."""
+    global _WORKER_STATE
+    _WORKER_STATE = (h, plan)
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -415,24 +414,19 @@ def _source_labels(
     All sources are submitted to the pool up front; results come back in
     submission order, so callers see the same sequence for any parallelism.
     """
-    global _WORKER_STATE
-    _WORKER_STATE = (h, plan)
-    try:
-        workers = min(plan.parallelism, len(todo))
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                workers, ctx, initializer=_exit_with_parent, initargs=(os.getpid(),)
-            ) as pool:
-                own = {v: v for v in h.vertex_ids}  # unpickled labels hold fresh copies
-                ticks = {t: t for t in h.edge_starts}
-                for labels in pool.map(_compute_labels, todo):
-                    yield {m: replace(lab, values={own[v]: ticks.get(x, x) for v, x in lab.values.items()})
-                           for m, lab in labels.items()}
-        else:
-            yield from map(_compute_labels, todo)
-    finally:
-        _WORKER_STATE = None
+    workers = min(plan.parallelism, len(todo))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, ctx, initializer=_init_worker, initargs=(os.getpid(), h, plan)
+        ) as pool:
+            own = {v: v for v in h.vertex_ids}  # unpickled labels hold fresh copies
+            ticks = {t: t for t in h.edge_starts}
+            for labels in pool.map(_compute_labels, todo):
+                yield {m: replace(lab, values={own[v]: ticks.get(x, x) for v, x in lab.values.items()})
+                       for m, lab in labels.items()}
+    else:
+        yield from (compute_labels(h, plan, source) for source in todo)
 
 
 def run(

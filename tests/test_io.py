@@ -10,9 +10,11 @@ from thd import (
     Metric,
     SimulationPlan,
     build_hypergraph,
+    fastest,
     gen_random,
     read_network,
     run,
+    shortest,
     write_network,
     write_results,
 )
@@ -92,6 +94,64 @@ def test_naive_timestamp_rejected():
     doc = {"edges": [{"id": "e", "participants": ["a", "b"], "start": "2023-04-01T00:00:00", "end": "2023-04-01T00:00:00"}]}
     with pytest.raises(RecordInvalid):
         read_network(json.dumps(doc).encode())
+
+
+# one grammar on every supported Python: YYYY-MM-DD, T or a space, HH:MM:SS,
+# an optional 3- or 6-digit fraction, then Z or +-HH:MM
+@pytest.mark.parametrize(
+    "text, ms",
+    [
+        ("1970-01-01T00:00:01Z", 1000),
+        ("1970-01-01 00:00:01Z", 1000),
+        ("1970-01-01T00:00:02.500+00:00", 2500),
+        ("1970-01-01T00:00:00.123456Z", 123),
+        ("1970-01-01T00:00:00.999999-00:00", 999),
+        ("1970-01-01T01:00:00+01:00", 0),
+        ("1969-12-31T19:00:00-05:00", 0),
+        ("2024-02-29T23:59:59.001+23:59", 1709164859001),
+    ],
+)
+def test_calendar_grammar_accepts(text, ms):
+    doc = {"edges": [{"id": "e", "participants": ["a", "b"], "start": text, "end": text}]}
+    edges, _ = read_network(json.dumps(doc).encode())
+    assert edges[0].start == edges[0].end == ms
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("2024-01-01T00:00:00", "has no UTC offset"),
+        ("2024-01-01 00:00:00.123", "has no UTC offset"),
+        ("2024-01-01", "not an ISO-8601 timestamp"),
+        ("20240101T000000Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T000000Z", "not an ISO-8601 timestamp"),
+        ("2024-W01-1T00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01t00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01x00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00Z", "not an ISO-8601 timestamp"),
+        *((f"2024-01-01T00:00:00.{'1' * n}Z", "not an ISO-8601 timestamp") for n in (1, 2, 4, 5, 7)),
+        ("2024-01-01T00:00:00,123Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00+0000", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00+00", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00+00:00:00", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00z", "not an ISO-8601 timestamp"),
+        (" 2024-01-01T00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00Z\n", "not an ISO-8601 timestamp"),
+        ("\uff12\uff10\uff12\uff14-01-01T00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-13-01T00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2023-02-29T00:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T24:00:00Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T23:59:60Z", "not an ISO-8601 timestamp"),
+        ("2024-01-01T00:00:00+24:00", "not an ISO-8601 timestamp"),
+        ("2024-13-01T00:00:00", "not an ISO-8601 timestamp"),
+    ],
+)
+def test_calendar_grammar_refuses(text, reason):
+    doc = {"edges": [{"id": "e", "participants": ["a", "b"], "start": text, "end": text}]}
+    with pytest.raises(RecordInvalid) as err:
+        read_network(json.dumps(doc).encode())
+    assert reason in err.value.reason and repr(text) in err.value.reason
 
 
 @pytest.mark.parametrize(
@@ -451,6 +511,20 @@ def test_results_round_trip_structurally(g1):
         for d in doc["sources"] for m in metrics
     )
     assert decoded == result.labels
+
+
+def test_source_doc_shares_predecessors_and_walk_tuples():
+    h = gen_random(GenParams(vertex_count=30, edge_count=90, span=60, seed=4))
+    source = h.vertex_ids[0]
+    labels = [shortest(h, source, 0, h.vertex_count), fastest(h, source, 0)]
+    doc = thd_io.source_doc(labels)
+    for lab in labels:
+        entry = doc["metrics"][lab.metric.value]
+        assert entry["predecessors"] is lab.predecessors
+        assert len(entry["witnesses"]) == len(lab.values) > 1
+        for v, walk in lab.witnesses.items():
+            assert entry["witnesses"][v]["hops"] is walk.hops
+            assert entry["witnesses"][v]["arrivals"] is walk.arrivals
 
 
 def test_canonical_json_bytes_deterministic():

@@ -8,10 +8,15 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from math import ceil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thd import (
     GenParams,
@@ -173,6 +178,25 @@ def test_parallelism_does_not_change_bytes():
         )
         outs.append(write_results(run(h, plan)))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_serial_runs_in_threads_match_their_solo_runs():
+    # more threads than cores, switching often: a run that left state in
+    # the module would hand another run its network or plan
+    nets = [gen_random(GenParams(400, 1500, seed=seed)) for seed in (1, 2, 3)]
+
+    def result_bytes(h):
+        return write_results(run(h, SimulationPlan()))
+
+    solo = [result_bytes(h) for h in nets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(len(nets)) as pool:
+                assert list(pool.map(result_bytes, nets, timeout=120)) == solo
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pooled_labels_share_the_network_objects():
@@ -488,7 +512,7 @@ def test_interrupt_and_resume_byte_identical(tmp_path, parallelism):
 
     with pytest.raises(KeyboardInterrupt):
         run(h, plan, progress=tripwire)
-    assert simulate._WORKER_STATE is None
+    assert simulate._WORKER_STATE is None  # only pool workers set it
 
     flushed = flushed_sources(ck)
     # last full interval of 2 before the interrupt, in source order
@@ -611,12 +635,20 @@ def test_completed_checkpoint_short_circuits(tmp_path):
 
 
 def test_nearest_rank_reference_values():
-    values = [15, 20, 35, 40, 50]
+    values = Counter([15, 20, 35, 40, 50])
     assert nearest_rank(values, 5) == 15
     assert nearest_rank(values, 30) == 20
     assert nearest_rank(values, 40) == 20
     assert nearest_rank(values, 50) == 35
     assert nearest_rank(values, 100) == 50
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12) | st.integers(0, 5), min_size=1, max_size=60))
+def test_nearest_rank_of_counts_equals_rank_in_sorted_list(xs):
+    ordered, counts = sorted(xs), Counter(xs)
+    for p in range(1, 101):
+        assert nearest_rank(counts, p) == ordered[max(1, ceil(p * len(xs) / 100)) - 1]
 
 
 def test_aggregate_rejects_conflicting_sources(g1):
