@@ -107,9 +107,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     h, _ = _load_network(args.input, strict=not args.lenient)
     metric = args.metric
-    plan = SimulationPlan(
-        metrics=(metric,), t0=args.t0, max_hops=args.max_hops, keep_predecessors=True
-    )
+    plan = SimulationPlan(metrics=(metric,), t0=args.t0, max_hops=args.max_hops,
+                          horizon=args.horizon, keep_predecessors=True)
     validate_plan(h, plan)
     labels = compute_labels(h, plan, args.source)[metric]
     if args.target not in labels.values:
@@ -242,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", type=_metric, default=Metric.FOREMOST)
     p.add_argument("--t0", type=int, default=0)
     p.add_argument("--max-hops", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_query)

@@ -16,8 +16,8 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     DuplicateEdgeId,
@@ -33,7 +33,37 @@ MIN_TICK = -(2**62)
 MAX_TICK = 2**62
 # surrogates (a lone JSON "\ud800" escape) are the only code points UTF-8 rejects
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_edge_id = attrgetter("id")  # the sort key of edges
+
+
+def check_edge(edge_id: str, participants: Collection[str], start: Tick, end: Tick) -> None:
+    """Raise a :class:`~thd.errors.HypergraphError` subclass naming the edge's first problem.
+
+    The one validation of an edge: ``TemporalHyperedge(...)`` and the network
+    parser both call it. Among several bad participants it names the smallest,
+    so the message does not depend on the iteration order of a set.
+    """
+    if not isinstance(edge_id, str) or not edge_id:
+        raise InvalidVertexId(f"edge id must be a nonempty string, got {edge_id!r}")
+    if not edge_id.isascii() and _SURROGATE.search(edge_id):
+        raise InvalidVertexId(f"edge id {edge_id!r} is not valid UTF-8")
+    for p in participants:
+        if not isinstance(p, str) or not p or not p.isascii() and _SURROGATE.search(p):
+            # only now look for the smallest: a non-string or empty one first
+            bad = [q for q in participants if not isinstance(q, str) or not q]
+            if bad:
+                raise InvalidVertexId(f"edge {edge_id!r}: participant must be a nonempty "
+                                      f"string, got {min(bad, key=repr)!r}")
+            p = min(q for q in participants if _SURROGATE.search(q))
+            raise InvalidVertexId(f"edge {edge_id!r}: participant {p!r} is not valid UTF-8")
+    if len(participants) < 2:
+        raise TooFewParticipants(f"edge {edge_id!r} has {len(participants)} participant(s), need >= 2")
+    # a bool tick would be written as false/true, which read_network rejects
+    if bool in (type(start), type(end)) or not (isinstance(start, int) and isinstance(end, int)):
+        raise InvalidInterval(f"edge {edge_id!r}: ticks must be integers")
+    if not (MIN_TICK <= start <= MAX_TICK and MIN_TICK <= end <= MAX_TICK):
+        raise InvalidInterval(f"edge {edge_id!r}: tick outside representable range")
+    if start > end:
+        raise InvalidInterval(f"edge {edge_id!r}: start {start} > end {end}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +71,8 @@ class TemporalHyperedge:
     """One interaction: who participated, and when the edge was open.
 
     An invalid edge cannot be constructed: ``TemporalHyperedge(...)``,
-    :func:`hyperedge` and ``dataclasses.replace`` raise a
-    :class:`~thd.errors.HypergraphError` subclass naming the first problem.
+    :func:`hyperedge` and ``dataclasses.replace`` raise what :func:`check_edge`
+    raises.
     """
 
     id: str
@@ -51,29 +81,7 @@ class TemporalHyperedge:
     end: Tick
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidVertexId(f"edge id must be a nonempty string, got {self.id!r}")
-        if not self.id.isascii() and _SURROGATE.search(self.id):
-            raise InvalidVertexId(f"edge id {self.id!r} is not valid UTF-8")
-        for p in self.participants:
-            if not isinstance(p, str) or not p:
-                raise InvalidVertexId(
-                    f"edge {self.id!r}: participant must be a nonempty string, got {p!r}"
-                )
-            if not p.isascii() and _SURROGATE.search(p):
-                raise InvalidVertexId(f"edge {self.id!r}: participant {p!r} is not valid UTF-8")
-        if len(self.participants) < 2:
-            raise TooFewParticipants(
-                f"edge {self.id!r} has {len(self.participants)} participant(s), need >= 2"
-            )
-        # a bool tick would be written as false/true, which read_network rejects
-        ticks = (type(self.start), type(self.end))
-        if bool in ticks or not (isinstance(self.start, int) and isinstance(self.end, int)):
-            raise InvalidInterval(f"edge {self.id!r}: ticks must be integers")
-        if not (MIN_TICK <= self.start <= MAX_TICK and MIN_TICK <= self.end <= MAX_TICK):
-            raise InvalidInterval(f"edge {self.id!r}: tick outside representable range")
-        if self.start > self.end:
-            raise InvalidInterval(f"edge {self.id!r}: start {self.start} > end {self.end}")
+        check_edge(self.id, self.participants, self.start, self.end)
 
 
 def hyperedge(edge_id: str, participants: Iterable[str], start: Tick, end: Tick) -> TemporalHyperedge:
@@ -93,16 +101,16 @@ class NetworkStats:
 class TimeVaryingHypergraph:
     """Immutable network with interned vertices and a time-sorted incidence index.
 
-    Vertex ids are interned to dense indices ``0 .. |V|-1`` and ``edges``
-    are stored, both in lexicographic id order, so comparing two indexes
-    compares their ids; all internal arrays are indexed by those.
-    Construction goes through :func:`build_hypergraph`; instances are safe
-    to share across concurrent readers.
+    Vertex ids are interned to dense indices ``0 .. |V|-1`` and edge ids are
+    stored as ``edge_ids``, both in lexicographic id order, so comparing two
+    indexes compares their ids; all internal arrays are indexed by those, and no
+    record per edge is kept. Construction goes through :func:`build_hypergraph`;
+    instances are safe to share across concurrent readers.
     """
 
     vertex_ids: tuple[str, ...]
-    edges: tuple[TemporalHyperedge, ...]
-    # traversal arrays, parallel to `edges`
+    edge_ids: tuple[str, ...]
+    # traversal arrays, parallel to `edge_ids`
     edge_starts: tuple[Tick, ...] = field(repr=False)
     edge_ends: tuple[Tick, ...] = field(repr=False)
     edge_members: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -118,7 +126,12 @@ class TimeVaryingHypergraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ids)
+
+    @property
+    def edges(self) -> tuple[TemporalHyperedge, ...]:
+        """Every edge as a record, in id order, built anew on each access."""
+        return tuple(map(self._record, range(self.edge_count)))
 
     def __contains__(self, vertex: str) -> bool:
         return vertex in self._vertex_index
@@ -130,68 +143,68 @@ class TimeVaryingHypergraph:
         except KeyError:
             raise UnknownVertex(f"vertex {vertex!r} not in hypergraph") from None
 
-    def edge_by_id(self, edge_id: str) -> TemporalHyperedge:
-        """The edge with this id, found by bisection; raises KeyError if absent."""
-        i = bisect_left(self.edges, edge_id, key=_edge_id)
-        if i == len(self.edges) or self.edges[i].id != edge_id:
+    def edge_index(self, edge_id: str) -> int:
+        """Index of an edge id, found by bisection; raises KeyError if absent."""
+        i = bisect_left(self.edge_ids, edge_id)
+        if i == len(self.edge_ids) or self.edge_ids[i] != edge_id:
             raise KeyError(edge_id)
-        return self.edges[i]
+        return i
+
+    def edge_by_id(self, edge_id: str) -> TemporalHyperedge:
+        """The edge with this id as a record; raises KeyError if absent."""
+        return self._record(self.edge_index(edge_id))
+
+    def _record(self, i: int) -> TemporalHyperedge:
+        ids = self.vertex_ids
+        members = frozenset([ids[m] for m in self.edge_members[i]])
+        return TemporalHyperedge(self.edge_ids[i], members, self.edge_starts[i], self.edge_ends[i])
 
 
-def build_hypergraph(edge_records: Sequence[TemporalHyperedge]) -> TimeVaryingHypergraph:
-    """Assemble the immutable hypergraph from valid edge records.
+EdgeRow = tuple[str, Collection[str], Tick, Tick]
 
-    The vertex table is the union of all participants, and ``edges`` holds
-    the records; both are in lexicographic id order, whatever the input
-    order. The incidence index lists each (vertex, edge) membership exactly
-    once, sorted ascending by edge start with ties broken by edge id, that
-    is by edge index; ``edge_order`` lists every edge in that same order.
 
-    Each record was validated when it was constructed, so the only
-    error left is DuplicateEdgeId, raised for the smallest repeated id.
+def build_hypergraph(edges: Iterable[TemporalHyperedge | EdgeRow]) -> TimeVaryingHypergraph:
+    """Assemble the immutable hypergraph from checked edges.
+
+    Each edge is a :class:`TemporalHyperedge` or an ``(id, participants,
+    start, end)`` row as :func:`thd.io.read_network` returns. Neither is
+    checked again: a record was checked when it was constructed, and a row
+    must already have passed :func:`check_edge` with distinct participants.
+    So the only error left is DuplicateEdgeId, raised for the smallest
+    repeated id.
+
+    The vertex table is the union of all participants, and ``edge_ids``
+    holds the edge ids; both are in lexicographic id order, whatever the
+    input order. The incidence index lists each (vertex, edge) membership
+    exactly once, sorted ascending by edge start with ties broken by edge
+    id, that is by edge index; ``edge_order`` lists every edge in that same
+    order.
     """
-    edges = tuple(sorted(edge_records, key=_edge_id))
-    for prev, edge in zip(edges, edges[1:]):
-        if prev.id == edge.id:
-            raise DuplicateEdgeId(f"edge id {edge.id!r} appears more than once")
+    rows = sorted([(e.id, e.participants, e.start, e.end) if isinstance(e, TemporalHyperedge)
+                   else e for e in edges], key=itemgetter(0))
+    edge_ids, participants, edge_starts, edge_ends = zip(*rows) if rows else ((),) * 4
+    for prev, edge_id in zip(edge_ids, edge_ids[1:]):
+        if prev == edge_id:
+            raise DuplicateEdgeId(f"edge id {edge_id!r} appears more than once")
 
-    vertex_ids = tuple(sorted(set().union(*[e.participants for e in edges])))
+    vertex_ids = tuple(sorted(set().union(*participants)))
     vertex_index = {v: i for i, v in enumerate(vertex_ids)}
-
-    edge_starts = tuple([e.start for e in edges])
-    edge_ends = tuple([e.end for e in edges])
     index_of = vertex_index.__getitem__
-    edge_members = tuple([tuple(sorted(map(index_of, e.participants))) for e in edges])
+    edge_members = tuple([tuple(sorted(map(index_of, p))) for p in participants])
 
     # (start, id) order: indexes are in id order, and the sort is stable
-    order = sorted(range(len(edges)), key=edge_starts.__getitem__)
+    order = sorted(range(len(edge_ids)), key=edge_starts.__getitem__)
     incidence_lists: list[list[int]] = [[] for _ in vertex_ids]
     for ei in order:
         for vi in edge_members[ei]:
             incidence_lists[vi].append(ei)
 
-    return TimeVaryingHypergraph(
-        vertex_ids=vertex_ids,
-        edges=edges,
-        edge_starts=edge_starts,
-        edge_ends=edge_ends,
-        edge_members=edge_members,
-        incidence=tuple(map(tuple, incidence_lists)),
-        edge_order=tuple(order),
-        _vertex_index=vertex_index,
-    )
+    incidence = tuple(map(tuple, incidence_lists))
+    return TimeVaryingHypergraph(vertex_ids, edge_ids, edge_starts, edge_ends, edge_members,
+                                 incidence, tuple(order), vertex_index)
 
 
 def stats(h: TimeVaryingHypergraph) -> NetworkStats:
     """Exact counts over the data model; cheap enough to be a sanity check."""
-    histogram = Counter(len(e.participants) for e in h.edges)
-    if h.edges:
-        span = (min(h.edge_starts), max(h.edge_ends))
-    else:
-        span = None
-    return NetworkStats(
-        vertex_count=h.vertex_count,
-        edge_count=h.edge_count,
-        participant_histogram=dict(histogram),
-        time_span=span,
-    )
+    span = (min(h.edge_starts), max(h.edge_ends)) if h.edge_ids else None
+    return NetworkStats(h.vertex_count, h.edge_count, dict(Counter(map(len, h.edge_members))), span)

@@ -40,7 +40,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
-from .core import TemporalHyperedge, Tick, TimeVaryingHypergraph
+from .core import EdgeRow, TemporalHyperedge, Tick, TimeVaryingHypergraph, check_edge
 from .errors import HypergraphError, MalformedJson, MixedTimeEncodings, RecordInvalid
 from .paths import DistanceLabels, Metric, TemporalWalk
 
@@ -194,15 +194,16 @@ def _tick_field(record: dict, key: str, index: int) -> tuple[int, str]:
 
 def _parse_record(
     record: object, index: int, encoding: str | None, names: dict[str, str]
-) -> tuple[TemporalHyperedge, str]:
-    """One decoded edge record as (edge, time encoding); raises RecordInvalid.
+) -> tuple[EdgeRow, str]:
+    """One decoded edge record as an (id, participants, start, end) row and its time encoding.
 
     `record` comes from the JSON decoder, which makes only exact dict,
     list, str, int, float, bool and None objects, so ``type(x) is`` checks
     suffice. The checks run in a fixed order, so a bad record always gets
-    the same reason, and the edge's own checks run as it is constructed.
-    Participants are interned through `names`, so each vertex id is
-    stored once however many records name it.
+    the same reason; the edge's own checks, :func:`~thd.core.check_edge`,
+    run last, and any failure is raised as RecordInvalid. Participants are
+    a tuple in record order, interned through `names`, so each vertex id
+    is stored once however many records name it.
     """
     if type(record) is not dict:
         raise RecordInvalid(index, "edge record must be an object")
@@ -215,8 +216,8 @@ def _parse_record(
     for p in members:
         if type(p) is not str or not p:
             raise RecordInvalid(index, "participants must be nonempty strings")
-    participants = frozenset(map(names.setdefault, members, members))
-    if len(participants) != len(members):
+    participants = tuple(map(names.setdefault, members, members))
+    if len(set(participants)) != len(members):
         raise RecordInvalid(index, "duplicate participant")
 
     start, end = record.get("start"), record.get("end")
@@ -232,16 +233,18 @@ def _parse_record(
             f"edge record {index} uses {enc!r} but document started with {encoding!r}"
         )
     try:
-        return TemporalHyperedge(edge_id, participants, start, end), enc
+        check_edge(edge_id, participants, start, end)
     except HypergraphError as exc:
         raise RecordInvalid(index, str(exc)) from None
+    return (edge_id, participants, start, end), enc
 
 
 def read_network(
     source: BinaryIO | bytes | bytearray, strict: bool = True
-) -> tuple[list[TemporalHyperedge], ReadReport]:
-    """Parse a network document into edge records plus metadata.
+) -> tuple[list[EdgeRow], ReadReport]:
+    """Parse a network document into metadata and checked edge rows for build_hypergraph.
 
+    A row is ``(id, participants, start, end)``; no record object is built.
     Raises MalformedJson for structural problems, MixedTimeEncodings when
     tick and calendar timestamps meet, and RecordInvalid for the first bad
     record in strict mode. In lenient mode bad records are skipped and
@@ -256,7 +259,7 @@ def read_network(
     time_unit: str | None = None
     schema: int | None = None
     encoding: str | None = None
-    edges: list[TemporalHyperedge] = []
+    edges: list[EdgeRow] = []
     seen_ids: set[str] = set()
     names: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []
@@ -289,14 +292,14 @@ def read_network(
                     raw = reader.value()
                     try:
                         edge, encoding = _parse_record(raw, index, encoding, names)
-                        if edge.id in seen_ids:
-                            raise RecordInvalid(index, f"duplicate edge id {edge.id!r}")
+                        if edge[0] in seen_ids:
+                            raise RecordInvalid(index, f"duplicate edge id {edge[0]!r}")
                     except RecordInvalid as exc:
                         if strict:
                             raise
                         skipped.append((exc.index, exc.reason))
                     else:
-                        seen_ids.add(edge.id)
+                        seen_ids.add(edge[0])
                         edges.append(edge)
                     index += 1
                     if sep := _COMMA.match(reader.buf, reader.pos):
@@ -344,23 +347,19 @@ def write_network(
     name: str = "network",
     time_unit: str = "ticks",
 ) -> bytes:
-    """Serialize edges to the canonical document; read_network inverts this."""
-    edges = network.edges if isinstance(network, TimeVaryingHypergraph) else network
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "name": name,
-        "time_unit": time_unit,
-        "edges": [
-            {
-                "id": e.id,
-                "participants": sorted(e.participants),
-                "start": e.start,
-                "end": e.end,
-            }
-            for e in edges
-        ],
-    }
-    return canonical_json_bytes(doc)
+    """Serialize edges to the canonical document; read_network inverts this.
+
+    A network is written from its columns, in id order; records in their order.
+    """
+    if isinstance(network, TimeVaryingHypergraph):
+        ids = network.vertex_ids
+        rows = zip(network.edge_ids, ([ids[m] for m in ms] for ms in network.edge_members),
+                   network.edge_starts, network.edge_ends)
+    else:
+        rows = ((e.id, sorted(e.participants), e.start, e.end) for e in network)
+    edges = [{"id": i, "participants": p, "start": s, "end": t} for i, p, s, t in rows]
+    return canonical_json_bytes(
+        {"schema": SCHEMA_VERSION, "name": name, "time_unit": time_unit, "edges": edges})
 
 
 def walk_doc(walk: TemporalWalk) -> dict:

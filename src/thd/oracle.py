@@ -85,7 +85,7 @@ def _walk_states(
             if ends[ei] < now:
                 continue
             arr = now if now >= starts[ei] else starts[ei]
-            eid = h.edges[ei].id
+            eid = h.edge_ids[ei]
             hi = max_start if max_start >= starts[ei] else starts[ei]
             lo = min_end if min_end <= ends[ei] else ends[ei]
             for v in members[ei]:

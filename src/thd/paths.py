@@ -157,7 +157,6 @@ def foremost(
         return DistanceLabels(
             source, t0, Metric.FOREMOST, {source: t0}, {} if keep_predecessors else None
         )
-    edges = h.edges
     starts = h.edge_starts
     ends = h.edge_ends
     members = h.edge_members
@@ -171,7 +170,7 @@ def foremost(
     pred_prior: list[int] = [-1] * n
     rank: list[int] = [n] * n  # settle rank; n while unsettled
     settled: list[int] = []
-    relaxed = bytearray(len(edges))
+    relaxed = bytearray(len(starts))
     arrival[src] = tick = t0
     heap = [src]
     pos = bisect_right(order, t0, key=starts.__getitem__)
@@ -230,7 +229,7 @@ def foremost(
     predecessors = None
     if keep_predecessors:
         predecessors = {
-            ids[v]: (edges[pred_edge[v]].id, ids[pred_prior[v]]) for v in settled if v != src
+            ids[v]: (h.edge_ids[pred_edge[v]], ids[pred_prior[v]]) for v in settled if v != src
         }
     return DistanceLabels(source, t0, Metric.FOREMOST, values, predecessors)
 
@@ -281,7 +280,6 @@ def fastest(
     """
     src = h.index_of(source)
     ids = h.vertex_ids
-    edges = h.edges
     starts = h.edge_starts
     ends = h.edge_ends
     members = h.edge_members
@@ -291,7 +289,7 @@ def fastest(
 
     reach: list[Tick] = [NONE_YET] * n  # M of each vertex
     reach[src] = NEVER
-    carried: list[Tick] = [NONE_YET] * len(edges)
+    carried: list[Tick] = [NONE_YET] * len(starts)
     best: list[Tick] = [NEVER] * n
     best[src] = 0
     # one event per rise, for witnesses: (edge, vertex, the relaxer's
@@ -495,7 +493,7 @@ def _witness_walks(
     ``last_event`` maps each reached vertex to the event ending its walk,
     which departs at its minimum edge end or at ``cap``, if earlier.
     """
-    ids, edges, starts, ends = h.vertex_ids, h.edges, h.edge_starts, h.edge_ends
+    ids, edge_ids, starts, ends = h.vertex_ids, h.edge_ids, h.edge_starts, h.edge_ends
     predecessors: dict[str, tuple[str, str]] = {}
     witnesses: dict[str, TemporalWalk] = {}
     # the walk of each event, built once and shared by the chains through
@@ -511,7 +509,7 @@ def _witness_walks(
         while chain:
             ev = chain.pop()
             ei, w, _ = events[ev]
-            hops += ((edges[ei].id, ids[w]),)
+            hops += ((edge_ids[ei], ids[w]),)
             tops += (max(tops[-1], starts[ei]) if tops else starts[ei],)
             low = min(low, ends[ei])
             walk_of[ev] = hops, tops, low
@@ -574,18 +572,18 @@ def validate_walk(h: TimeVaryingHypergraph, walk: TemporalWalk) -> None:
     now = walk.departure
     for i, ((edge_id, via), arr) in enumerate(zip(walk.hops, walk.arrivals)):
         try:
-            edge = h.edge_by_id(edge_id)
+            ei = h.edge_index(edge_id)
         except KeyError:
             raise InfeasibleWalk(f"hop {i}: unknown edge {edge_id!r}") from None
-        if at not in edge.participants:
+        members = [h.vertex_ids[m] for m in h.edge_members[ei]]
+        start, end = h.edge_starts[ei], h.edge_ends[ei]
+        if at not in members:
             raise InfeasibleWalk(f"hop {i}: {at!r} does not join edge {edge_id!r}")
-        if via not in edge.participants:
+        if via not in members:
             raise InfeasibleWalk(f"hop {i}: {via!r} does not join edge {edge_id!r}")
-        if now > edge.end:
-            raise InfeasibleWalk(
-                f"hop {i}: edge {edge_id!r} closed at {edge.end}, reached at {now}"
-            )
-        expect = now if now >= edge.start else edge.start
+        if now > end:
+            raise InfeasibleWalk(f"hop {i}: edge {edge_id!r} closed at {end}, reached at {now}")
+        expect = now if now >= start else start
         if arr != expect:
             raise InfeasibleWalk(f"hop {i}: arrival {arr} != max(prev, start) = {expect}")
         at = via

@@ -170,7 +170,7 @@ def input_digest(h: TimeVaryingHypergraph) -> str:
     edges at a time.
     """
     names = [encode_basestring(v) for v in h.vertex_ids]
-    ids = [encode_basestring(e.id) for e in h.edges]
+    ids = [encode_basestring(e) for e in h.edge_ids]
     starts, ends, members = h.edge_starts, h.edge_ends, h.edge_members
     digest = hashlib.sha256()
     for lo in range(0, len(ids), 4096):
@@ -270,7 +270,7 @@ def _resume(
     """
     path = plan.checkpoint_path
     own = {v: v for v in h.vertex_ids}
-    shared = {x: x for x in (*h.edge_ends, *h.edge_starts, *(e.id for e in h.edges))}
+    shared = {x: x for x in (*h.edge_ends, *h.edge_starts, *h.edge_ids)}
     planned = set(sources)
     metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
     done: dict[str, dict[Metric, DistanceLabels]] = {}

@@ -45,7 +45,7 @@ def _earliest_arrivals(
     descendant.
     """
     ids = h.vertex_ids
-    edges = h.edges
+    edge_ids = h.edge_ids
     starts = h.edge_starts
     ends = h.edge_ends
     members = h.edge_members
@@ -56,7 +56,7 @@ def _earliest_arrivals(
     pred_edge: list[int] = [-1] * len(ids)
     pred_prior: list[int] = [-1] * len(ids)
     # what each edge delivered last: its members already arrive no later
-    delivered: list[Tick] = [NEVER] * len(edges)
+    delivered: list[Tick] = [NEVER] * len(edge_ids)
     for tau in departures:
         arrival[src] = tau
         improved: list[int] = []
@@ -84,7 +84,7 @@ def _earliest_arrivals(
                         pred_prior[v] = u
                         heappush(heap, (arr, v))
                     elif arr == a_v and v != u:
-                        if (edges[ei].id, ids[u]) < (edges[pred_edge[v]].id, ids[pred_prior[v]]):
+                        if (edge_ids[ei], ids[u]) < (edge_ids[pred_edge[v]], ids[pred_prior[v]]):
                             pred_edge[v] = ei
                             pred_prior[v] = u
         yield tau, improved, arrival, pred_edge, pred_prior
@@ -99,9 +99,8 @@ def _foremost_by_heap(h, source, t0, horizon, keep_predecessors):
     values = {ids[v]: arrival[v] for v in reached}
     if not keep_predecessors:
         return values, None
-    edges = h.edges
     return values, {
-        ids[v]: (edges[pred_edge[v]].id, ids[pred_prior[v]]) for v in reached if v != src
+        ids[v]: (h.edge_ids[pred_edge[v]], ids[pred_prior[v]]) for v in reached if v != src
     }
 
 
@@ -181,9 +180,8 @@ def _shortest_reference(
                     cur = updates.get(v)
                     if cur is None or arr < cur[0]:
                         updates[v] = (arr, ei, u, pe)
-                    elif arr == cur[0] and (h.edges[ei].id, ids[u]) < (
-                        h.edges[cur[1]].id,
-                        ids[cur[2]],
+                    elif arr == cur[0] and (
+                        (h.edge_ids[ei], ids[u]) < (h.edge_ids[cur[1]], ids[cur[2]])
                     ):
                         updates[v] = (arr, ei, u, pe)
         frontier = []
@@ -212,7 +210,7 @@ def _shortest_reference(
             rev: list[tuple[str, str, Tick]] = []
             ev = first_event[v]
             while ev != -1:
-                rev.append((h.edges[ev_edge[ev]].id, ids[ev_vertex[ev]], ev_arrival[ev]))
+                rev.append((h.edge_ids[ev_edge[ev]], ids[ev_vertex[ev]], ev_arrival[ev]))
                 ev = ev_prior[ev]
             rev.reverse()
             walk = TemporalWalk(

@@ -152,6 +152,30 @@ def test_query_walk_matches_simulate_witness(tmp_path, capsys, metric):
         assert json.loads(capsys.readouterr().out)["walk"] == witness
 
 
+@pytest.mark.parametrize("metric", ["shortest", "fastest"])
+def test_query_horizon_matches_simulate_witness(tmp_path, capsys, metric):
+    net = tmp_path / "net.json"
+    assert main(["gen", "-o", str(net), "--vertices", "30", "--edges", "90", "--seed", "3"]) == 0
+    source = json.loads(net.read_bytes())["edges"][0]["participants"][0]
+    entries = {}
+    for horizon in ([], ["--horizon", "300"]):
+        out = tmp_path / f"r{len(horizon)}.json"
+        assert main(
+            ["simulate", str(net), "-o", str(out), "--metric", metric, "--keep-predecessors",
+             "--sources", source, "--t0", "40", *horizon]
+        ) == 0
+        entries[bool(horizon)] = json.loads(out.read_bytes())["sources"][0]["metrics"][metric]
+    assert entries[True]["witnesses"] != entries[False]["witnesses"]  # the horizon tells
+    capsys.readouterr()
+    for target, witness in entries[True]["witnesses"].items():
+        assert main(
+            ["query", str(net), "--source", source, "--target", target, "--metric", metric,
+             "--t0", "40", "--horizon", "300", "--json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["value"], doc["walk"]) == (entries[True]["values"][target], witness)
+
+
 def test_simulate_writes_result_file(g1_file, tmp_path, capsys):
     out = tmp_path / "result.json"
     assert main(["simulate", g1_file, "-o", str(out), "--t0", "0"]) == 0

@@ -1,22 +1,42 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thd import build_hypergraph, hyperedge, read_network, stats, write_network
-from thd.core import MAX_TICK, TemporalHyperedge
+import thd
+from thd import (
+    Metric,
+    SimulationPlan,
+    build_hypergraph,
+    hyperedge,
+    read_network,
+    reconstruct_walk,
+    run,
+    stats,
+    validate_walk,
+    write_network,
+    write_results,
+)
+from thd.core import MAX_TICK, TemporalHyperedge, TimeVaryingHypergraph
 from thd.errors import (
     DuplicateEdgeId,
+    HypergraphError,
     InvalidInterval,
     InvalidVertexId,
+    RecordInvalid,
     TooFewParticipants,
     UnknownVertex,
 )
 
 
 def incident_ids(h, vertex):
-    return [h.edges[ei].id for ei in h.incidence[h.index_of(vertex)]]
+    return [h.edge_ids[ei] for ei in h.incidence[h.index_of(vertex)]]
 
 
 def test_empty_input():
@@ -39,7 +59,7 @@ def test_single_edge_shape():
 def test_g1_incidence_sorted_by_start(g1):
     assert incident_ids(g1, "a") == ["e1", "e3"]
     assert incident_ids(g1, "c") == ["e2", "e3"]
-    assert [g1.edges[ei].id for ei in g1.edge_order] == ["e1", "e2", "e3"]
+    assert [g1.edge_ids[ei] for ei in g1.edge_order] == ["e1", "e2", "e3"]
 
 
 def test_incidence_tie_break_by_edge_id():
@@ -50,7 +70,7 @@ def test_incidence_tie_break_by_edge_id():
         ]
     )
     assert incident_ids(h, "a") == ["m", "z"]
-    assert [h.edges[ei].id for ei in h.edge_order] == ["m", "z"]
+    assert [h.edge_ids[ei] for ei in h.edge_order] == ["m", "z"]
     assert [e.id for e in h.edges] == ["m", "z"]  # id order, not input order
 
 
@@ -92,7 +112,8 @@ def test_inverted_interval_rejected():
 
 def test_instantaneous_interval_legal():
     h = build_hypergraph([hyperedge("e1", ["a", "b"], 2, 2)])
-    assert h.edges[0].start == h.edges[0].end == 2
+    (edge,) = h.edges
+    assert edge.start == edge.end == 2
 
 
 def test_too_few_participants_rejected():
@@ -195,17 +216,18 @@ def edge_records(draw):
 def test_incidence_matches_naive_rebuild(records):
     """Differential check of the sorted index against a direct scan."""
     h = build_hypergraph(records)
-    assert [e.id for e in h.edges] == sorted(r.id for r in records)
+    edges = h.edges
+    assert [e.id for e in edges] == sorted(r.id for r in records)
     for vi, vertex in enumerate(h.vertex_ids):
         naive = sorted(
-            (i for i, e in enumerate(h.edges) if vertex in e.participants),
-            key=lambda i: (h.edges[i].start, h.edges[i].id),
+            (i for i, e in enumerate(edges) if vertex in e.participants),
+            key=lambda i: (edges[i].start, edges[i].id),
         )
         assert list(h.incidence[vi]) == naive
     assert sum(len(lst) for lst in h.incidence) == sum(
-        len(e.participants) for e in h.edges
+        len(e.participants) for e in edges
     )
-    assert set().union(*(e.participants for e in h.edges), set()) == set(h.vertex_ids)
+    assert set().union(*(e.participants for e in edges), set()) == set(h.vertex_ids)
 
 
 @given(edge_records())
@@ -224,3 +246,114 @@ def test_stats_match_input(records):
     assert st_.edge_count == len(records)
     assert st_.vertex_count == len({p for r in records for p in r.participants})
     assert sum(st_.participant_histogram.values()) == len(records)
+
+
+# --- one validation, and the network as columns --------------------------------
+
+
+@pytest.mark.parametrize(
+    "edge_id, participants, start, end",
+    [
+        ("e\ud800", ["a", "b"], 0, 1),
+        ("e", ["a\udc00", "b"], 0, 1),
+        ("e", ["a"], 0, 1),
+        ("e", ["a", "b"], 0, 2**62 + 1),
+        ("e", ["a", "b"], 2, 1),
+    ],
+    ids=["surrogate-id", "surrogate-participant", "one-participant", "out-of-range",
+         "inverted"],
+)
+def test_parser_and_constructor_share_one_reason(edge_id, participants, start, end):
+    with pytest.raises(HypergraphError) as built:
+        hyperedge(edge_id, participants, start, end)
+    record = {"id": edge_id, "participants": participants, "start": start, "end": end}
+    with pytest.raises(RecordInvalid) as parsed:
+        read_network(json.dumps({"edges": [record]}).encode())
+    assert str(parsed.value) == f"edge record 0: {parsed.value.reason}"
+    assert parsed.value.reason == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "record, built_message, reason",
+    [
+        ({"id": ""}, "edge id must be a nonempty string, got ''", "missing or empty 'id'"),
+        ({"start": False}, "edge 'e': ticks must be integers",
+         "'start' must be an integer or ISO-8601 string"),
+    ],
+    ids=["empty-id", "bool-tick"],
+)
+def test_json_shape_reasons_come_before_the_edge_check(record, built_message, reason):
+    # the parser refuses a JSON value of the wrong shape before check_edge sees it
+    fields = {"id": "e", "participants": ["a", "b"], "start": 0, "end": 1, **record}
+    with pytest.raises(HypergraphError, match=f"^{built_message}$"):
+        hyperedge(fields["id"], fields["participants"], fields["start"], fields["end"])
+    with pytest.raises(RecordInvalid) as parsed:
+        read_network(json.dumps({"edges": [fields]}).encode())
+    assert parsed.value.reason == reason
+
+
+_NAME_BAD_PARTICIPANT = """
+import json
+from thd import hyperedge, read_network
+from thd.errors import HypergraphError, RecordInvalid
+parts = ["c", "b\\udc00", "a\\ud800"]
+try:
+    hyperedge("e", parts, 0, 1)
+except HypergraphError as exc:
+    built = str(exc)
+try:
+    record = {"id": "e", "participants": parts, "start": 0, "end": 1}
+    read_network(json.dumps({"edges": [record]}).encode())
+except RecordInvalid as exc:
+    print(json.dumps([built, exc.reason]))
+"""
+
+
+def test_smallest_bad_participant_is_named_under_any_hash_seed():
+    names = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(thd.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", _NAME_BAD_PARTICIPANT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        names.append(json.loads(out))
+    expect = "edge 'e': participant 'a\\ud800' is not valid UTF-8"
+    assert names == [[expect, expect]] * 2
+
+
+def test_the_network_holds_no_record_per_edge(g1):
+    assert [f.name for f in dataclasses.fields(TimeVaryingHypergraph)] == [
+        "vertex_ids", "edge_ids", "edge_starts", "edge_ends", "edge_members", "incidence",
+        "edge_order", "_vertex_index",
+    ]
+    held = [getattr(g1, f.name) for f in dataclasses.fields(g1)]
+    assert not any(isinstance(x, TemporalHyperedge) for column in held for x in column)
+    assert g1.edges == (hyperedge("e1", ["a", "b"], 1, 3), hyperedge("e2", ["b", "c"], 2, 5),
+                        hyperedge("e3", ["a", "c", "d"], 4, 4))
+
+
+def test_parsed_rows_build_the_network_the_records_build(g1):
+    rows, _ = read_network(write_network(g1))
+    assert rows == [
+        ("e1", ("a", "b"), 1, 3), ("e2", ("b", "c"), 2, 5), ("e3", ("a", "c", "d"), 4, 4)
+    ]
+    h = build_hypergraph(rows[::-1])
+    assert h == g1
+    assert all(h.edge_ids[i] is row[0] for i, row in enumerate(rows))
+    assert h.edge_by_id("e2") == hyperedge("e2", ["b", "c"], 2, 5)
+    assert stats(h) == stats(g1)
+    assert write_network(h) == write_network(g1)
+
+
+def test_no_record_is_made_from_read_to_results(g1, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a TemporalHyperedge was constructed")
+
+    data = write_network(g1)
+    monkeypatch.setattr(TemporalHyperedge, "__post_init__", refuse)
+    h = build_hypergraph(read_network(data)[0])
+    plan = SimulationPlan(metrics=tuple(Metric), t0=0, keep_predecessors=True)
+    result = run(h, plan)
+    for labels in result.labels:
+        for target in labels.values:
+            validate_walk(h, reconstruct_walk(labels, target))
+    assert write_results(result) == write_results(run(g1, plan))

@@ -63,8 +63,8 @@ def test_calendar_timestamps_become_ms_ticks():
         ],
     }
     edges, report = read_network(json.dumps(doc).encode())
-    assert edges[0].start == 1000
-    assert edges[0].end == 2500
+    [(_, _, start, end)] = edges
+    assert (start, end) == (1000, 2500)
     assert report.time_encoding == "calendar"
 
 
@@ -113,8 +113,8 @@ def test_naive_timestamp_rejected():
 )
 def test_calendar_grammar_accepts(text, ms):
     doc = {"edges": [{"id": "e", "participants": ["a", "b"], "start": text, "end": text}]}
-    edges, _ = read_network(json.dumps(doc).encode())
-    assert edges[0].start == edges[0].end == ms
+    [(_, _, start, end)], _ = read_network(json.dumps(doc).encode())
+    assert start == end == ms
 
 
 @pytest.mark.parametrize(
@@ -187,9 +187,9 @@ def test_participants_are_interned_across_records(start, end):
         for i, other in enumerate("bc")
     ]
     data = json.dumps({"schema": 1, "edges": edges}, ensure_ascii=False).encode()
-    first, second = read_network(data)[0]
-    (a,) = first.participants - {"b"}
-    (b,) = second.participants - {"c"}
+    (_, first, _, _), (_, second, _, _) = read_network(data)[0]
+    (a,) = set(first) - {"b"}
+    (b,) = set(second) - {"c"}
     assert a == "\u00e9t\u00e9"
     assert a is b
 
@@ -204,7 +204,7 @@ def test_lenient_skips_and_counts():
         ]
     }
     edges, report = read_network(json.dumps(doc).encode(), strict=False)
-    assert [e.id for e in edges] == ["e1", "e2"]
+    assert [edge_id for edge_id, *_ in edges] == ["e1", "e2"]
     assert len(report.skipped) == 2
     assert report.skipped[0][0] == 1
     assert report.skipped[1][0] == 2
@@ -341,7 +341,7 @@ def test_short_reads_refill_whole_chunks(monkeypatch):
 
 
 def _edge_tuples(edges):
-    return [(e.id, e.participants, e.start, e.end) for e in edges]
+    return [(edge_id, frozenset(members), start, end) for edge_id, members, start, end in edges]
 
 
 def test_single_value_over_limit_rejected(monkeypatch):
@@ -421,7 +421,7 @@ def test_lenient_skips_match_strict_reasons():
     ]
     data = json.dumps({"edges": records}).encode()
     edges, report = read_network(data, strict=False)
-    assert [e.id for e in edges] == ["e1", "e8\U0001f600"]
+    assert [edge_id for edge_id, *_ in edges] == ["e1", "e8\U0001f600"]
     assert list(report.skipped) == [
         (1, "'start' must be an integer or ISO-8601 string"),
         (2, "edge 'e3' has 1 participant(s), need >= 2"),
@@ -505,7 +505,7 @@ def test_results_round_trip_structurally(g1):
     assert (doc["provenance"], doc["summary"]) == (result.provenance, result.summary)
     # each source's document decodes back into its labels
     own = {v: v for v in g1.vertex_ids}
-    shared = {x: x for x in (*g1.edge_ends, *g1.edge_starts, *(e.id for e in g1.edges))}
+    shared = {x: x for x in (*g1.edge_ends, *g1.edge_starts, *g1.edge_ids)}
     decoded = tuple(
         entry_labels(own, shared, d["source"], d["t0"], m, d["metrics"][m.value])
         for d in doc["sources"] for m in metrics

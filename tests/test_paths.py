@@ -14,10 +14,12 @@ from thd import (
     gen_desk_instance,
     gen_random,
     hyperedge,
+    read_network,
     reconstruct_walk,
     shortest,
     validate_walk,
     walk_metric_value,
+    write_network,
 )
 from thd.errors import (
     InfeasibleWalk,
@@ -364,8 +366,10 @@ def test_predecessor_chains_terminate_at_source():
          "via-not-on-edge", "closed-edge", "wrong-arrival"],
 )
 def test_validate_walk_rejects(g1, walk, message):
-    with pytest.raises(InfeasibleWalk, match=re.escape(message)):
-        validate_walk(g1, walk)
+    # the same refusals on the network built from parsed rows
+    for h in (g1, build_hypergraph(read_network(write_network(g1))[0])):
+        with pytest.raises(InfeasibleWalk, match=re.escape(message)):
+            validate_walk(h, walk)
 
 
 def test_validate_walk_accepts_empty(g1):

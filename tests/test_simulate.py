@@ -558,7 +558,7 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     from_log = [lab for lab in resumed.labels if lab.source in h.vertex_ids[:9]]
     assert len(from_log) == 9 * len(metrics)
     assert_values_share_network_objects(h, from_log)
-    own_edge_ids = {id(e.id) for e in h.edges}
+    own_edge_ids = set(map(id, h.edge_ids))
     hops = [hop for lab in from_log for hop in lab.predecessors.values()]
     hops += [hop for lab in from_log if lab.witnesses for w in lab.witnesses.values() for hop in w.hops]
     assert len(hops) > 100
