@@ -137,7 +137,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     h, _ = _load_network(args.input, strict=not args.lenient)
-    sources = tuple(args.sources.split(",")) if args.sources else None
+    sources = tuple(args.sources.split(",")) if args.sources is not None else None
     plan = SimulationPlan(
         metrics=tuple(args.metric) if args.metric else (Metric.FOREMOST,),
         sources=sources,

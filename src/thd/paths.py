@@ -22,7 +22,10 @@ Three notions of minimal distance from a source:
   lossless. Each round expands only the vertices the previous one
   improved. It relaxes an edge only when the edge would deliver strictly
   earlier than it last did, and it scans a re-expanded vertex's
-  start-sorted edges only up to its previous arrival.
+  start-sorted edges only up to its previous arrival. The rounds stop once
+  every vertex has its hop label. When fewer vertices are unlabeled than
+  the round would expand, the round first checks them bottom-up, as
+  direction-optimizing BFS does (Beamer et al., SC 2012).
 * fastest - smallest duration (arrival minus departure), minimized over
   all departures ``tau >= t0``. For a fixed walk the arrival equals
   ``max(tau, latest edge start)`` and feasibility caps ``tau`` at the
@@ -393,14 +396,23 @@ def shortest(
 
     Layer ``k`` holds the earliest arrival reachable in at most ``k``
     hops; a vertex's hop label is the first layer that defines it. Layers
-    stop early once no arrival improves, and never exceed ``max_hops``.
-    Round ``k`` expands the vertices improved in round ``k - 1``, in
-    ascending id order. It skips an edge that would deliver no earlier
-    than it last did: its members already arrive no later, and an equal
-    later delivery in the same round loses the ``(edge id, prior id)``
-    tie. A re-expanded vertex stops at its first edge (by start) starting
-    no earlier than its previous expansion, which already delivered that
-    start or found it past the horizon.
+    stop once no arrival improves or every vertex has its label, and never
+    exceed ``max_hops``; later layers would only lower the arrivals of
+    labeled vertices. Round ``k`` expands the vertices improved in round
+    ``k - 1``, in ascending id order. It skips an edge that would deliver
+    no earlier than it last did: its members already arrive no later, and
+    an equal later delivery in the same round loses the ``(edge id, prior
+    id)`` tie. A re-expanded vertex stops at its first edge (by start)
+    starting no earlier than its previous expansion, which already
+    delivered that start or found it past the horizon.
+
+    A round with fewer unlabeled vertices than it would expand pulls
+    first: each unlabeled vertex takes the least ``(arrival, edge id,
+    prior id)`` its labeled members offer. A member outside the frontier
+    would already have delivered to it, so this is the candidate the
+    round would push. If every unlabeled vertex has one, they are all
+    labeled at this layer and the rounds stop; at the first that has
+    none, the pull is dropped and the round pushes.
     """
     if max_hops < 1:
         raise NonPositiveMaxHops(f"max_hops must be >= 1, got {max_hops}")
@@ -412,10 +424,11 @@ def shortest(
     incidence = h.incidence
     ids = h.vertex_ids
     limit = MAX_TICK if horizon is None else horizon
+    n = len(ids)
 
-    arrival: list[Tick] = [NEVER] * len(ids)
+    arrival: list[Tick] = [NEVER] * n
     arrival[src] = t0
-    expanded: list[Tick] = [NEVER] * len(ids)  # arrival at the last expansion
+    expanded: list[Tick] = [NEVER] * n  # arrival at the last expansion
     # what each edge delivered last: its members already arrive no later
     delivered: list[Tick] = [NEVER] * len(starts)
     hop_of: dict[int, int] = {src: 0}
@@ -423,15 +436,37 @@ def shortest(
     # arrival-improvement events (edge, vertex, prior event); the chain
     # from a vertex's first event replays a feasible minimal-hop walk
     events: list[tuple[int, int, int]] = []
-    latest_event: list[int] = [-1] * len(ids)
+    latest_event: list[int] = [-1] * n
     first_event: dict[int, int] = {src: -1}
 
     frontier = [src]
     layer = 0
-    while frontier and layer < max_hops:
+    while frontier and layer < max_hops and len(hop_of) < n:
         layer += 1
         # candidate per vertex: (arrival, edge idx, prior vertex, prior event)
         updates: dict[int, tuple[Tick, int, int, int]] = {}
+        if n - len(hop_of) < len(frontier):
+            # fewer vertices left than to push from: pull each one's least
+            # (arrival, edge, prior) from its labeled members, bottom-up
+            for v in range(n):
+                if arrival[v] != NEVER:
+                    continue
+                best = (limit + 1, -1, -1)
+                for ei in incidence[v]:
+                    s = starts[ei]
+                    if s > best[0]:
+                        break
+                    end = ends[ei]
+                    for u in members[ei]:
+                        a_u = arrival[u]
+                        if a_u <= end and (a_u if a_u > s else s, ei, u) < best:
+                            best = (a_u if a_u > s else s, ei, u)
+                if best[0] > limit:
+                    updates.clear()  # v needs more hops: push this layer
+                    break
+                updates[v] = (*best, latest_event[best[2]])
+            else:
+                frontier = []  # every vertex is labeled at this layer
         for u in frontier:
             a_u = arrival[u]
             cut = expanded[u]

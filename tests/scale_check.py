@@ -6,11 +6,11 @@ its default t0 with a horizon. For each source it checks, as
 ``test_every_kernel_matches_its_reference_mid_size`` does on smaller networks:
 foremost values and predecessors against ``_foremost_by_heap``; fastest
 values, with and without witnesses, against ``_fastest_heap_reference``,
-with every witness feasible and attaining its value; and full shortest
-labels against ``_shortest_reference``. Prints one line per source and exits
-1 on any mismatch. On a 2-vCPU VM with CPython 3.11.7 it took 130 s in all,
-20-43 s per source, and peaked at 376 MiB. Pytest does not collect it; run
-it as::
+with every witness feasible and attaining its value; and shortest values,
+then full labels with witnesses, against ``_shortest_reference``. Prints
+one line per source and exits 1 on any mismatch. On a 2-vCPU VM with
+CPython 3.11.7 it took 235 s in all, 26-94 s per source, and peaked at
+292 MiB. Pytest does not collect it; run it as::
 
     PYTHONPATH=src python tests/scale_check.py
 """
@@ -50,8 +50,11 @@ def check(h, source, t0, horizon) -> tuple[int, list[str]]:
         if walk.terminus != target or walk_metric_value(walk, labels.metric) != labels.values[target]:
             problems.append(f"fastest witness of {target!r} does not attain its value")
     n = h.vertex_count
-    if shortest(h, source, t0, n, horizon) != _shortest_reference(h, source, t0, n, horizon):
-        problems.append("shortest labels differ from the reference")
+    ref = _shortest_reference(h, source, t0, n, horizon)
+    if shortest(h, source, t0, n, horizon, False).values != ref.values:
+        problems.append("shortest values differ from the reference")
+    if shortest(h, source, t0, n, horizon) != ref:
+        problems.append("shortest labels with witnesses differ from the reference")
     return len(want), problems
 
 

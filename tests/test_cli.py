@@ -213,6 +213,21 @@ def test_simulate_explicit_sources_and_horizon(g1_file, tmp_path):
     assert doc["sources"][0]["metrics"]["foremost"]["values"] == {"a": 0, "b": 1, "c": 2}
 
 
+def test_simulate_empty_sources_is_an_unknown_source(g1_file, tmp_path, capsys):
+    # "" names the one source '', as "a," names 'a' and ''; it never means every vertex
+    out = tmp_path / "r.json"
+    assert main(["simulate", g1_file, "-o", str(out), "--sources", ""]) == 1
+    assert "error: source '' not in network" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_empty_sources_with_sample_is_a_usage_conflict(g1_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["simulate", g1_file, "-o", str(out), "--sources", "", "--sample", "2"]) == 1
+    assert "error: explicit sources and sample are mutually exclusive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_checkpoint_exits_1(g1_file, tmp_path, capsys):
     ck = tmp_path / "ck"
     ck.write_bytes(b"garbage\n")

@@ -612,3 +612,81 @@ def test_shortest_reexpansion_relaxes_edges_skipped_at_a_later_arrival():
     for target, walk in labels.witnesses.items():
         validate_walk(h, walk)
         assert walk_metric_value(walk, labels.metric) == labels.values[target]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(vertex_count=1000, edge_count=5000, span=100_000, max_length=5_000, seed=22),
+        GenParams(vertex_count=1500, edge_count=6000, span=300, max_length=20, seed=22),
+        GenParams(vertex_count=300, edge_count=3000, span=50, max_length=5, seed=22),
+        GenParams(vertex_count=200, edge_count=400, span=1000, max_length=0, seed=22),
+    ],
+    ids=["sparse-ticks", "tie-dense", "edge-dense", "instantaneous"],
+)
+def test_shortest_matches_reference_where_the_last_layer_is_pulled(params):
+    # on these networks the rounds end with few vertices left against a
+    # large frontier, so the bottom-up check of a layer both labels every
+    # vertex left and, at a vertex still two hops out, falls back to the push
+    h = gen_random(params)
+    n = h.vertex_count
+    for source in random.Random(params.seed).sample(h.vertex_ids, 10):
+        for t0 in (0, params.span // 3):
+            for horizon in (None, t0 + params.span // 2):
+                for keep in (False, True):
+                    want = _shortest_reference(h, source, t0, n, horizon, keep)
+                    got = shortest(h, source, t0, n, horizon, keep)
+                    assert got == want, (source, t0, horizon, keep)
+
+
+def _assert_shortest_matches_reference(h, source):
+    labels = shortest(h, source, 0, h.vertex_count)
+    assert labels == _shortest_reference(h, source, 0, h.vertex_count)
+    for target, walk in labels.witnesses.items():
+        validate_walk(h, walk)
+        assert walk_metric_value(walk, labels.metric) == labels.values[target]
+    return labels
+
+
+def test_shortest_pull_falls_back_to_the_push_then_labels_the_last_vertex():
+    # after layer 1, b1, b2 and c are left against a frontier of a1-a4, but
+    # c is two hops out, so layer 2 is pushed. That push also brings a4 from
+    # 6 forward to 1 over e3. Then c alone is left, and layer 3 pulls it
+    # over e6, which closed before a4's first arrival
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "a1", "a2", "a3"], 0, 0),
+            hyperedge("e2", ["s", "a4"], 6, 6),
+            hyperedge("e3", ["a1", "a4"], 1, 1),
+            hyperedge("e4", ["a1", "b1"], 1, 9),
+            hyperedge("e5", ["a2", "b2"], 2, 9),
+            hyperedge("e6", ["a4", "c"], 3, 5),
+            hyperedge("e7", ["b1", "c"], 5, 9),
+            hyperedge("e8", ["b2", "c"], 4, 9),
+        ]
+    )
+    labels = _assert_shortest_matches_reference(h, "s")
+    assert dict(labels.values) == {"a1": 1, "a2": 1, "a3": 1, "a4": 1, "b1": 2, "b2": 2, "c": 3, "s": 0}
+    assert labels.witnesses["c"] == TemporalWalk(
+        "s", 0, (("e1", "a1"), ("e3", "a4"), ("e6", "c")), (0, 1, 3)
+    )
+    assert labels.predecessors["c"] == ("e6", "a4")
+
+
+def test_shortest_pull_breaks_an_arrival_tie_on_edge_then_prior():
+    # t is left alone against p, q and r: over e4 from p and over e3 from q
+    # it arrives at 4. e3 is the smaller edge, though it starts later and q
+    # is the larger prior, so it carries t's witness
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "q", "r"], 0, 0),
+            hyperedge("e2", ["s", "p"], 4, 4),
+            hyperedge("e3", ["q", "t"], 4, 9),
+            hyperedge("e4", ["p", "t"], 1, 9),
+            hyperedge("e5", ["r", "t"], 6, 9),
+        ]
+    )
+    labels = _assert_shortest_matches_reference(h, "s")
+    assert dict(labels.values) == {"p": 1, "q": 1, "r": 1, "s": 0, "t": 2}
+    assert labels.witnesses["t"] == TemporalWalk("s", 0, (("e1", "q"), ("e3", "t")), (0, 4))
+    assert labels.predecessors["t"] == ("e3", "q")
