@@ -312,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except Unreached as exc:
         print(f"unreached: {exc}", file=sys.stderr)
         return EXIT_UNREACHED
-    except ThdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ThdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - the 'internal invariant violation' exit

@@ -40,7 +40,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
-from .core import EdgeRow, TemporalHyperedge, Tick, TimeVaryingHypergraph, check_edge
+from .core import EdgeRow, Tick, TimeVaryingHypergraph, check_edge
 from .errors import HypergraphError, MalformedJson, MixedTimeEncodings, RecordInvalid
 from .paths import DistanceLabels, Metric, TemporalWalk
 
@@ -343,20 +343,15 @@ def read_network(
 
 
 def write_network(
-    network: TimeVaryingHypergraph | Iterable[TemporalHyperedge],
-    name: str = "network",
-    time_unit: str = "ticks",
+    network: TimeVaryingHypergraph, name: str = "network", time_unit: str = "ticks"
 ) -> bytes:
-    """Serialize edges to the canonical document; read_network inverts this.
+    """Serialize a network to the canonical document; read_network inverts this.
 
-    A network is written from its columns, in id order; records in their order.
+    The network is written from its columns, in id order.
     """
-    if isinstance(network, TimeVaryingHypergraph):
-        ids = network.vertex_ids
-        rows = zip(network.edge_ids, ([ids[m] for m in ms] for ms in network.edge_members),
-                   network.edge_starts, network.edge_ends)
-    else:
-        rows = ((e.id, sorted(e.participants), e.start, e.end) for e in network)
+    ids = network.vertex_ids
+    rows = zip(network.edge_ids, ([ids[m] for m in ms] for ms in network.edge_members),
+               network.edge_starts, network.edge_ends)
     edges = [{"id": i, "participants": p, "start": s, "end": t} for i, p, s, t in rows]
     return canonical_json_bytes(
         {"schema": SCHEMA_VERSION, "name": name, "time_unit": time_unit, "edges": edges})
@@ -389,9 +384,10 @@ def entry_labels(own: Mapping[str, str], shared: dict, source: str, t0: Tick,
                  metric: Metric, entry: dict) -> DistanceLabels:
     """One metric's entry of a ``source_doc`` as labels made of the network's own objects.
 
-    ``own`` maps vertex ids, and ``shared`` edge ids and ticks (starts entered after
-    ends), to the network's objects; each ``(edge id, vertex)`` pair is added to
-    ``shared``, so equal hops are one tuple. Raises ValueError unless every value is
+    The entry comes from a checkpoint record or a pool worker. ``own`` maps vertex ids,
+    and ``shared`` ticks (starts entered after ends) and edge ids, to the network's
+    objects; a tick it lacks is kept as given. Each ``(edge id, vertex)`` pair is added
+    to ``shared``, so equal hops are one tuple. Raises ValueError unless every value is
     an int at a vertex of the network, and KeyError for a predecessor or hop off it.
     """
     values = entry["values"]
@@ -430,10 +426,7 @@ def write_results(result: "DiffusionResult", fmt: str = "json") -> bytes:
         out = _stdio.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["source", "vertex", "metric", "value"])
-        for labels in result.labels:
-            for vertex in sorted(labels.values):
-                writer.writerow(
-                    [labels.source, vertex, labels.metric.value, labels.values[vertex]]
-                )
+        for lab in result.labels:
+            writer.writerows([lab.source, v, lab.metric.value, lab.values[v]] for v in sorted(lab.values))
         return out.getvalue().encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (json, csv)")

@@ -8,9 +8,10 @@ metric's label values instead of pooling them. Long runs append completed
 sources, encoded by ``io.source_doc``, to a log bound to the exact input
 and plan by digest. Each record carries its own hash, so a flush writes
 only the sources completed since the last one, and a torn record is
-dropped on resume. A resumed run reads the log one record at a time,
-decodes each source once through ``io.entry_labels``, and refuses as
-corrupt any record that does not fit the plan and network.
+dropped on resume. Pool workers send source documents, and resume reads
+the log one record at a time, refusing as corrupt a record that does not
+fit the plan and network; one decoder turns either kind of document into
+labels made of the network's own objects.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -257,6 +258,22 @@ def checkpoint_write(
             os.close(dir_fd)
 
 
+def _decoder(h: TimeVaryingHypergraph, plan: SimulationPlan) -> Callable[[dict], dict]:
+    """The one decoder, for the pool and the log, of a ``source_doc`` into labels made of the
+    network's own objects. Its tick table holds only starts for a values-only plan (every
+    foremost value is a start or ``t0``); with predecessors, also ends and edge ids."""
+    own = {v: v for v in h.vertex_ids}
+    keys = (*h.edge_ends, *h.edge_starts, *h.edge_ids) if plan.keep_predecessors else h.edge_starts
+    shared = {x: x for x in keys}
+    metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
+
+    def decode(doc: dict) -> dict[Metric, DistanceLabels]:
+        source, t0, entries = own[doc["source"]], shared.get(doc["t0"], doc["t0"]), doc["metrics"]
+        return {m: entry_labels(own, shared, source, t0, m, entries[m.value]) for m in metrics}
+
+    return decode
+
+
 def _resume(
     h: TimeVaryingHypergraph, plan: SimulationPlan, sources: Sequence[str], in_digest: str, p_digest: str
 ) -> dict[str, dict[Metric, DistanceLabels]]:
@@ -269,10 +286,9 @@ def _resume(
     crash: they are truncated away, so that later appends start on a record boundary.
     """
     path = plan.checkpoint_path
-    own = {v: v for v in h.vertex_ids}
-    shared = {x: x for x in (*h.edge_ends, *h.edge_starts, *h.edge_ids)}
+    decode = _decoder(h, plan)
     planned = set(sources)
-    metrics = sorted(plan.metrics, key=METRIC_ORDER.index)
+    keep = plan.keep_predecessors
     done: dict[str, dict[Metric, DistanceLabels]] = {}
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -304,23 +320,21 @@ def _resume(
                 raise CorruptCheckpoint(f"{path}: record hash mismatch at byte {pos}")
             try:
                 doc = json.loads(body)
-                source = doc["source"]
-                if type(source) is not str:
-                    raise ValueError("source is not a string")
-                if source not in planned:
+                source, t0, entries = doc["source"], doc["t0"], doc["metrics"]
+                if type(source) is not str or source not in planned:
                     raise ValueError(f"source {source!r} is not planned")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
-            if source in done:
-                raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
-            try:
-                t0, entries = doc["t0"], doc["metrics"]
+                if source in done:
+                    raise CorruptCheckpoint(f"{path}: duplicate record for source {source!r}")
                 if type(t0) is not int or t0 != resolve_t0(h, plan, source):
                     raise ValueError(f"t0 {t0!r} is not the planned t0 of source {source!r}")
-                if entries.keys() != {m.value for m in metrics}:
+                if entries.keys() != {m.value for m in plan.metrics}:
                     raise ValueError(f"metrics {sorted(entries)} are not the planned ones")
-                done[source] = {m: entry_labels(own, shared, source, t0, m, entries[m.value])
-                                for m in metrics}
+                for m in plan.metrics:  # predecessors iff kept; witnesses too, but not foremost's
+                    witnessed = keep and m is not Metric.FOREMOST
+                    for key, kept in (("predecessors", keep), ("witnesses", witnessed)):
+                        if (entries[m.value].get(key) is not None) != kept:
+                            raise ValueError(f"{m.value} entry {'lacks' if kept else 'carries'} {key}")
+                done[source] = decode(doc)
             except ValueError as exc:  # a source document that does not fit
                 raise CorruptCheckpoint(f"{path}: bad record at byte {pos}: {exc}") from None
             except (AttributeError, KeyError, TypeError) as exc:  # not a source document
@@ -386,13 +400,13 @@ def aggregate(
 _WORKER_STATE: tuple[TimeVaryingHypergraph, SimulationPlan] | None = None  # pool workers only
 
 
-def _compute_labels(source: str) -> dict[Metric, DistanceLabels]:
-    """A pool worker's ``compute_labels`` of one source, on the network and plan it was given."""
-    return compute_labels(*_WORKER_STATE, source)
+def _source_doc(source: str) -> dict:
+    """A pool worker's ``source_doc`` of one source, on the network and plan it was given."""
+    return source_doc(compute_labels(*_WORKER_STATE, source).values())
 
 
 def _init_worker(parent: int, h: TimeVaryingHypergraph, plan: SimulationPlan) -> None:
-    """Pool initializer: keep the network and plan for ``_compute_labels`` (a fork
+    """Pool initializer: keep the network and plan for ``_source_doc`` (a fork
     passes them without pickling), and exit once ``parent`` is gone instead of
     idling on, since a killed parent cannot shut its pool down."""
     global _WORKER_STATE
@@ -420,11 +434,7 @@ def _source_labels(
         with ProcessPoolExecutor(
             workers, ctx, initializer=_init_worker, initargs=(os.getpid(), h, plan)
         ) as pool:
-            own = {v: v for v in h.vertex_ids}  # unpickled labels hold fresh copies
-            ticks = {t: t for t in h.edge_starts}
-            for labels in pool.map(_compute_labels, todo):
-                yield {m: replace(lab, values={own[v]: ticks.get(x, x) for v, x in lab.values.items()})
-                       for m, lab in labels.items()}
+            yield from map(_decoder(h, plan), pool.map(_source_doc, todo))
     else:
         yield from (compute_labels(h, plan, source) for source in todo)
 

@@ -65,6 +65,22 @@ def assert_values_share_network_objects(h, labels):
     assert all(id(x) in own_ticks for x in ticks)
 
 
+def assert_hops_share_network_objects(h, labels):
+    """Sources, predecessor and witness hops ``(edge id, vertex)``, and witness
+    departures and arrivals are the network's own objects."""
+    own_edge_ids = set(map(id, h.edge_ids))
+    own_ticks = set(map(id, (*h.edge_starts, *h.edge_ends)))
+    assert all(lab.source is h.vertex_ids[h.index_of(lab.source)] for lab in labels)
+    walks = [w for lab in labels if lab.witnesses for w in lab.witnesses.values()]
+    hops = [hop for lab in labels for hop in lab.predecessors.values()]
+    hops += [hop for w in walks for hop in w.hops]
+    ticks = [x for w in walks for x in (w.departure, *w.arrivals)]
+    assert len(hops) > 100 and len(ticks) > 100 and min(ticks) > 256
+    assert all(id(e) in own_edge_ids and v is h.vertex_ids[h.index_of(v)] for e, v in hops)
+    assert all(id(x) in own_ticks for x in ticks)
+    assert all(w.source is h.vertex_ids[h.index_of(w.source)] for w in walks)
+
+
 # --- plan validation --------------------------------------------------------
 
 
@@ -200,12 +216,18 @@ def test_serial_runs_in_threads_match_their_solo_runs():
 
 
 def test_pooled_labels_share_the_network_objects():
-    # labels come back from the pool unpickled, as fresh strings and ints
+    # documents come back from the pool unpickled, as fresh strings and ints
     h = shifted_net(seed=16)
-    plan = SimulationPlan(metrics=(Metric.FOREMOST, Metric.FASTEST), parallelism=2)
-    result = run(h, plan)
-    assert_values_share_network_objects(h, result.labels)
-    assert write_results(result) == write_results(run(h, replace(plan, parallelism=1)))
+    metrics = (Metric.FOREMOST, Metric.SHORTEST, Metric.FASTEST)
+    for keep in (False, True):
+        plan = SimulationPlan(metrics=metrics, keep_predecessors=keep, parallelism=2)
+        result = run(h, plan)
+        assert_values_share_network_objects(h, result.labels)
+        if keep:
+            assert_hops_share_network_objects(h, result.labels)
+        serial = run(h, replace(plan, parallelism=1))
+        assert result.labels == serial.labels
+        assert write_results(result) == write_results(serial)
 
 
 # sha256 of the JSON and CSV results of both plans below, recorded while
@@ -353,6 +375,41 @@ def test_checkpoint_corrupt_complete_record_refused(tmp_path, g1, record):
     raw[raw.index(b'"source":"%s"' % record.encode()) - 2] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint, match="hash mismatch"):
+        run(g1, plan)
+
+
+def _drop_shortest_witnesses(doc):
+    del doc["metrics"]["shortest"]["witnesses"]
+
+
+def _add_foremost_witnesses(doc):
+    doc["metrics"]["foremost"]["witnesses"] = doc["metrics"]["shortest"]["witnesses"]
+
+
+@pytest.mark.parametrize(
+    "written, planned, damage, reason",
+    [
+        (True, False, None, "foremost entry carries predecessors"),
+        (False, True, None, "foremost entry lacks predecessors"),
+        (True, True, _drop_shortest_witnesses, "shortest entry lacks witnesses"),
+        (True, True, _add_foremost_witnesses, "foremost entry carries witnesses"),
+    ],
+    ids=["kept-not-planned", "planned-not-kept", "shortest-without-witnesses",
+         "foremost-with-witnesses"],
+)
+def test_checkpoint_record_of_another_shape_refused(tmp_path, g1, written, planned, damage, reason):
+    # a hash-valid record whose predecessors or witnesses do not match the
+    # plan's keep_predecessors would give other bytes than a fresh run
+    metrics = (Metric.FOREMOST, Metric.SHORTEST, Metric.FASTEST)
+    fresh = SimulationPlan(metrics=metrics, sources=("a",), t0=0, keep_predecessors=written)
+    doc = json.loads(write_results(run(g1, fresh)))["sources"][0]
+    if damage is not None:
+        damage(doc)
+    path = tmp_path / "ck"
+    plan = replace(fresh, keep_predecessors=planned, checkpoint_path=str(path))
+    checkpoint_write(path, input_digest(g1), plan_digest(plan), {"a": doc})
+    at = path.read_bytes().index(b"\n") + 1
+    with pytest.raises(CorruptCheckpoint, match=f"bad record at byte {at}: {reason}"):
         run(g1, plan)
 
 
@@ -554,15 +611,14 @@ def test_interrupt_and_resume_with_witnesses_matches_fresh_run(tmp_path, paralle
     assert resumed.labels == fresh.labels
     assert resumed.summary == fresh.summary
     assert any(lab.witnesses for lab in resumed.labels)
-    # resumed labels are made of the network's own objects, not of fresh copies
+    # resumed and recomputed (pooled when parallel) labels are made of the
+    # network's own objects, not of fresh copies
     from_log = [lab for lab in resumed.labels if lab.source in h.vertex_ids[:9]]
+    recomputed = [lab for lab in resumed.labels if lab.source not in h.vertex_ids[:9]]
     assert len(from_log) == 9 * len(metrics)
-    assert_values_share_network_objects(h, from_log)
-    own_edge_ids = set(map(id, h.edge_ids))
-    hops = [hop for lab in from_log for hop in lab.predecessors.values()]
-    hops += [hop for lab in from_log if lab.witnesses for w in lab.witnesses.values() for hop in w.hops]
-    assert len(hops) > 100
-    assert all(id(e) in own_edge_ids and v is h.vertex_ids[h.index_of(v)] for e, v in hops)
+    for labels in (from_log, recomputed):
+        assert_values_share_network_objects(h, labels)
+        assert_hops_share_network_objects(h, labels)
 
 
 # Runs a two-process checkpointed plan and, at the first finished source,
