@@ -14,7 +14,9 @@ Three notions of minimal distance from a source:
   priority queue over arrivals: the Connection Scan Algorithm (Dibbelt et
   al., JEA 2018) carried over to interval hyperedges. Each hyperedge is
   relaxed at most once, because later settlements can only produce later
-  candidate arrivals.
+  candidate arrivals. Once the unsettled vertices hold few edges, the scan
+  goes on over theirs alone, as direction-optimizing BFS does (Beamer et
+  al., SC 2012).
 * shortest - fewest hops, over walks that are temporally feasible from
   ``t0``. Computed by hop-layered dynamic programming where each layer
   keeps only the earliest arrival per vertex; an earlier arrival never
@@ -52,6 +54,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Mapping
 
 from .core import MAX_TICK, MIN_TICK, Tick, TimeVaryingHypergraph
@@ -127,6 +130,7 @@ class DistanceLabels:
 
 NEVER: Tick = MAX_TICK + 1  # no arrival, or no delivery over an edge, yet
 NONE_YET: Tick = MIN_TICK - 1  # no walk's minimum edge end, or none carried over an edge, yet
+NARROW = 16  # foremost's narrowing ratio: 4 to 64 ran alike at scale; 2 rebuilt too often
 
 
 def foremost(
@@ -148,11 +152,14 @@ def foremost(
     relaxed yet. That is the order in which a label-setting heap pass
     over arrivals settles vertices and relaxes edges, so the ``(edge id,
     prior id)`` tie rule picks the same predecessors; edge and vertex
-    indexes are both in id order, so the rule compares indexes. The scan
-    stops at the first edge starting past the horizon, or once every
-    vertex is settled and the tick that settled the last one is done.
-    Arrivals beyond the horizon are discarded. Raises UnknownVertex if the
-    source is not in the hypergraph.
+    indexes are both in id order, so the rule compares indexes. Once the
+    edges left outnumber ``NARROW`` times the unsettled vertices' incidence
+    entries, the scan goes on over those vertices' later edges alone: an
+    edge with every member settled would only be marked relaxed, which no
+    settled vertex reads again. The scan stops at the first edge past the
+    horizon or at the end of its edges, so it ends with the tick that
+    settles the last vertex. Arrivals beyond the horizon are discarded.
+    Raises UnknownVertex if the source is not in the hypergraph.
     """
     src = h.index_of(source)
     ids = h.vertex_ids
@@ -174,6 +181,7 @@ def foremost(
     rank: list[int] = [n] * n  # settle rank; n while unsettled
     settled: list[int] = []
     relaxed = bytearray(len(starts))
+    left = sum(map(len, incidence))  # incidence entries of unsettled vertices
     arrival[src] = tick = t0
     heap = [src]
     pos = bisect_right(order, t0, key=starts.__getitem__)
@@ -184,6 +192,7 @@ def foremost(
             u = heappop(heap)
             rank[u] = len(settled)
             settled.append(u)
+            left -= len(incidence[u])
             for ei in incidence[u]:
                 if starts[ei] > tick:
                     break  # relaxed when the scan reaches its start
@@ -201,7 +210,13 @@ def foremost(
                         if (ei, u) < (pred_edge[v], pred_prior[v]):
                             pred_edge[v] = ei
                             pred_prior[v] = u
-        if len(settled) == n or pos == last:
+        if NARROW * left < last - pos:  # turns true only as vertices settle
+            # go on over the unsettled vertices' later edges: no other edge can deliver
+            unsettled = compress(range(n), map(n.__eq__, rank))
+            later = {ei for v in unsettled for ei in incidence[v] if starts[ei] > tick}
+            order, pos = sorted(sorted(later), key=starts.__getitem__), 0
+            last = len(order)
+        if pos == last:
             break
         tick = starts[order[pos]]
         if tick > limit:

@@ -425,16 +425,20 @@ def _source_labels(
 ) -> Iterator[dict[Metric, DistanceLabels]]:
     """Yield the labels of each source of ``todo`` in order, on a fork pool when parallel.
 
-    All sources are submitted to the pool up front; results come back in
-    submission order, so callers see the same sequence for any parallelism.
+    Every source goes to the pool up front: one per task if the plan keeps
+    predecessors, whose hops and walks outgrow a label count, else in runs
+    of at most 16k labels and at least four per worker. Results come back
+    in source order, so callers see the same sequence for any parallelism.
     """
     workers = min(plan.parallelism, len(todo))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
+        per_run = 1 if plan.keep_predecessors else 2**14 // (h.vertex_count * len(plan.metrics))
+        chunk = max(1, min(per_run, len(todo) // (4 * workers)))
         with ProcessPoolExecutor(
             workers, ctx, initializer=_init_worker, initargs=(os.getpid(), h, plan)
         ) as pool:
-            yield from map(_decoder(h, plan), pool.map(_source_doc, todo))
+            yield from map(_decoder(h, plan), pool.map(_source_doc, todo, chunksize=chunk))
     else:
         yield from (compute_labels(h, plan, source) for source in todo)
 

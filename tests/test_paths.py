@@ -29,7 +29,7 @@ from thd.errors import (
     UnknownVertex,
 )
 from thd.io import walk_doc
-from thd.paths import Metric, fastest_departure_candidates
+from thd.paths import NARROW, Metric, fastest_departure_candidates
 from thd.simulate import SimulationPlan, resolve_t0
 
 from references import _fastest_heap_reference, _foremost_by_heap, _shortest_reference
@@ -266,6 +266,75 @@ def test_foremost_applies_a_tie_at_the_tick_that_settles_every_vertex():
     labels = foremost(h, "s", 0)
     assert labels.values == {"p": 1, "q": 5, "s": 0, "v": 5}
     assert labels.predecessors == {"p": ("x1", "s"), "q": ("x2", "s"), "v": ("a", "q")}
+    assert (labels.values, labels.predecessors) == _foremost_by_heap(h, "s", 0, None, True)
+
+
+@pytest.mark.parametrize("narrow", [NARROW, 1], ids=["narrow-default", "narrow-1"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(vertex_count=1000, edge_count=5000, span=100_000, max_length=5_000, seed=25),
+        GenParams(vertex_count=1500, edge_count=6000, span=300, max_length=20, seed=25),
+        GenParams(vertex_count=1000, edge_count=3500, span=5_000, max_length=400, seed=25),
+        GenParams(vertex_count=400, edge_count=2000, span=1000, max_length=0, seed=25),
+    ],
+    ids=["sparse-ticks", "tie-dense", "unreachable", "instantaneous"],
+)
+def test_foremost_matches_heap_kernel_where_the_scan_narrows(params, narrow, monkeypatch):
+    # on these networks the unsettled vertices come to hold few edges against
+    # the edges left, so the scan narrows to theirs, and vertices that are
+    # unreachable or past the horizon end the narrowed scan; at 1 it narrows
+    # earlier and more often
+    monkeypatch.setattr("thd.paths.NARROW", narrow)
+    h = gen_random(params)
+    for source in random.Random(params.seed).sample(h.vertex_ids, 10):
+        for t0 in (0, resolve_t0(h, SimulationPlan(), source), params.span // 3):
+            for horizon in (None, t0 + params.span // 2):
+                for keep in (False, True):
+                    labels = foremost(h, source, t0, horizon, keep)
+                    got = (labels.values, labels.predecessors)
+                    assert got == _foremost_by_heap(h, source, t0, horizon, keep), (source, t0, horizon, keep)
+
+
+def _fillers():
+    # edges between s and a, settled by tick 1, opening after everything
+    # else: after tick 1 the unsettled vertices hold few enough edges against
+    # them that the scan narrows
+    return [hyperedge(f"f{i:03}", ["s", "a"], 20, 20) for i in range(4 * NARROW)]
+
+
+def test_foremost_narrowed_scan_reaches_through_a_vertex_unsettled_at_the_switch():
+    # after the switch at tick 1, e3 opens at 3 with no member settled; b
+    # settles at 5 over e2 and relaxes e3 then, the only way to c
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "a"], 1, 1),
+            hyperedge("e2", ["a", "b"], 5, 5),
+            hyperedge("e3", ["b", "c"], 3, 9),
+            *_fillers(),
+        ]
+    )
+    for keep in (False, True):
+        labels = foremost(h, "s", 0, keep_predecessors=keep)
+        assert labels.values == {"a": 1, "b": 5, "c": 5, "s": 0}
+        assert (labels.values, labels.predecessors) == _foremost_by_heap(h, "s", 0, None, keep)
+    assert labels.predecessors == {"a": ("e1", "s"), "b": ("e2", "a"), "c": ("e3", "b")}
+
+
+def test_foremost_narrowed_scan_keeps_the_smaller_edge_on_a_tie():
+    # after the switch at tick 1, g1 and g2 both open at 6 and deliver 6 to
+    # t; g1 is the smaller edge, though its prior a is the larger vertex
+    h = build_hypergraph(
+        [
+            hyperedge("e1", ["s", "a"], 1, 1),
+            hyperedge("g2", ["s", "t"], 6, 6),
+            hyperedge("g1", ["a", "t"], 6, 6),
+            *_fillers(),
+        ]
+    )
+    labels = foremost(h, "s", 0)
+    assert labels.values == {"a": 1, "s": 0, "t": 6}
+    assert labels.predecessors == {"a": ("e1", "s"), "t": ("g1", "a")}
     assert (labels.values, labels.predecessors) == _foremost_by_heap(h, "s", 0, None, True)
 
 
