@@ -13,11 +13,11 @@ calendar timestamps to milliseconds since the epoch.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateEdgeId,
@@ -28,6 +28,7 @@ from .errors import (
 )
 
 Tick = int
+EdgeRow = tuple[str, Collection[str], Tick, Tick]
 
 MIN_TICK = -(2**62)
 MAX_TICK = 2**62
@@ -160,18 +161,51 @@ class TimeVaryingHypergraph:
         return TemporalHyperedge(self.edge_ids[i], members, self.edge_starts[i], self.edge_ends[i])
 
 
-EdgeRow = tuple[str, Collection[str], Tick, Tick]
+class EdgeColumns:
+    """Checked edges (or `rows`) in input order as columns, with no tuple per edge.
+
+    ``ids``, ``starts``, ``ends`` are parallel lists; ``numbers`` numbers vertex ids by first
+    appearance, and edge ``i``'s are ``members[offsets[i]:offsets[i + 1]]`` in record order.
+    Iterating yields ``(id, participants, start, end)`` rows, participants a tuple.
+    """
+
+    def __init__(self, rows: Iterable[EdgeRow] = ()) -> None:
+        self.ids: list[str] = []
+        self.starts: list[Tick] = []
+        self.ends: list[Tick] = []
+        self.numbers: dict[str, int] = {}
+        self.members, self.offsets = array("q"), array("q", [0])
+        for row in rows:
+            self.add(*row)
+
+    def add(self, edge_id: str, participants: Iterable[str], start: Tick, end: Tick) -> None:
+        """Append one edge, which must have passed :func:`check_edge` with distinct participants."""
+        numbers = self.numbers
+        self.members.extend([numbers.setdefault(p, len(numbers)) for p in participants])
+        self.offsets.append(len(self.members))
+        self.ids.append(edge_id)
+        self.starts.append(start)
+        self.ends.append(end)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[str, tuple[str, ...], Tick, Tick]]:
+        names, members, offsets = list(self.numbers), self.members, self.offsets
+        for i, edge_id in enumerate(self.ids):
+            yield (edge_id, tuple([names[m] for m in members[offsets[i]:offsets[i + 1]]]),
+                   self.starts[i], self.ends[i])
 
 
-def build_hypergraph(edges: Iterable[TemporalHyperedge | EdgeRow]) -> TimeVaryingHypergraph:
+def build_hypergraph(edges: EdgeColumns | Iterable[TemporalHyperedge | EdgeRow]) -> TimeVaryingHypergraph:
     """Assemble the immutable hypergraph from checked edges.
 
-    Each edge is a :class:`TemporalHyperedge` or an ``(id, participants,
-    start, end)`` row as :func:`thd.io.read_network` returns. Neither is
-    checked again: a record was checked when it was constructed, and a row
-    must already have passed :func:`check_edge` with distinct participants.
-    So the only error left is DuplicateEdgeId, raised for the smallest
-    repeated id.
+    Takes the :class:`EdgeColumns` :func:`thd.io.read_network` returns, or
+    :class:`TemporalHyperedge` records and ``(id, participants, start, end)``
+    rows, which are first added to one. Nothing is checked again: a record
+    was checked when it was constructed, and a row must already have passed
+    :func:`check_edge` with distinct participants. So the only error left is
+    DuplicateEdgeId, raised for the smallest repeated id.
 
     The vertex table is the union of all participants, and ``edge_ids``
     holds the edge ids; both are in lexicographic id order, whatever the
@@ -180,17 +214,23 @@ def build_hypergraph(edges: Iterable[TemporalHyperedge | EdgeRow]) -> TimeVaryin
     id, that is by edge index; ``edge_order`` lists every edge in that same
     order.
     """
-    rows = sorted([(e.id, e.participants, e.start, e.end) if isinstance(e, TemporalHyperedge)
-                   else e for e in edges], key=itemgetter(0))
-    edge_ids, participants, edge_starts, edge_ends = zip(*rows) if rows else ((),) * 4
+    if not isinstance(edges, EdgeColumns):
+        edges = EdgeColumns((e.id, e.participants, e.start, e.end) if isinstance(e, TemporalHyperedge)
+                            else e for e in edges)
+    by_id = sorted(range(len(edges)), key=edges.ids.__getitem__)
+    edge_ids = tuple(map(edges.ids.__getitem__, by_id))
     for prev, edge_id in zip(edge_ids, edge_ids[1:]):
         if prev == edge_id:
             raise DuplicateEdgeId(f"edge id {edge_id!r} appears more than once")
 
-    vertex_ids = tuple(sorted(set().union(*participants)))
+    vertex_ids = tuple(sorted(edges.numbers))
     vertex_index = {v: i for i, v in enumerate(vertex_ids)}
-    index_of = vertex_index.__getitem__
-    edge_members = tuple([tuple(sorted(map(index_of, p))) for p in participants])
+    rank = list(map(vertex_index.__getitem__, edges.numbers))
+    ranked, offsets = list(map(rank.__getitem__, edges.members)), edges.offsets
+    edge_members = tuple([tuple(sorted(ranked[offsets[i]:offsets[i + 1]])) for i in by_id])
+    edge_starts = tuple(map(edges.starts.__getitem__, by_id))
+    edge_ends = tuple(map(edges.ends.__getitem__, by_id))
+    del ranked, by_id  # freed before the incidence lists, which set the build's peak
 
     # (start, id) order: indexes are in id order, and the sort is stable
     order = sorted(range(len(edge_ids)), key=edge_starts.__getitem__)

@@ -13,9 +13,9 @@ One self-describing JSON document is the wire contract::
 
 ``start``/``end`` are either integer ticks or ISO-8601 UTC timestamps
 (converted to milliseconds since the epoch); mixing the two encodings in
-one document is rejected. Parsing is incremental: edge records are
-decoded and released one at a time, and the buffer is trimmed in chunks,
-dropping the consumed text each time the next 64 KiB is read. Memory
+one document is rejected. Parsing is incremental: each edge record is
+decoded, checked and added to columns, and the buffer is trimmed in chunks,
+dropping the consumed text each time the next 64 KiB is read. The buffer
 stays bounded by the largest single value, which ``MAX_VALUE_BYTES``
 limits on its own, plus a chunk, not by the document. Every malformed
 record is reported with its index. Strict mode aborts on the first bad
@@ -40,7 +40,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
-from .core import EdgeRow, Tick, TimeVaryingHypergraph, check_edge
+from .core import EdgeColumns, Tick, TimeVaryingHypergraph, check_edge
 from .errors import HypergraphError, MalformedJson, MixedTimeEncodings, RecordInvalid
 from .paths import DistanceLabels, Metric, TemporalWalk
 
@@ -193,17 +193,16 @@ def _tick_field(record: dict, key: str, index: int) -> tuple[int, str]:
 
 
 def _parse_record(
-    record: object, index: int, encoding: str | None, names: dict[str, str]
-) -> tuple[EdgeRow, str]:
-    """One decoded edge record as an (id, participants, start, end) row and its time encoding.
+    record: object, index: int, encoding: str | None, edges: EdgeColumns, seen_ids: set[str]
+) -> str:
+    """Check one decoded edge record, add it to `edges` and return its time encoding.
 
     `record` comes from the JSON decoder, which makes only exact dict,
     list, str, int, float, bool and None objects, so ``type(x) is`` checks
     suffice. The checks run in a fixed order, so a bad record always gets
     the same reason; the edge's own checks, :func:`~thd.core.check_edge`,
-    run last, and any failure is raised as RecordInvalid. Participants are
-    a tuple in record order, interned through `names`, so each vertex id
-    is stored once however many records name it.
+    and then the duplicate id check run last, and any failure is raised as
+    RecordInvalid. Only a record that passes them all touches `edges`.
     """
     if type(record) is not dict:
         raise RecordInvalid(index, "edge record must be an object")
@@ -216,8 +215,7 @@ def _parse_record(
     for p in members:
         if type(p) is not str or not p:
             raise RecordInvalid(index, "participants must be nonempty strings")
-    participants = tuple(map(names.setdefault, members, members))
-    if len(set(participants)) != len(members):
+    if len(set(members)) != len(members):
         raise RecordInvalid(index, "duplicate participant")
 
     start, end = record.get("start"), record.get("end")
@@ -233,18 +231,22 @@ def _parse_record(
             f"edge record {index} uses {enc!r} but document started with {encoding!r}"
         )
     try:
-        check_edge(edge_id, participants, start, end)
+        check_edge(edge_id, members, start, end)
     except HypergraphError as exc:
         raise RecordInvalid(index, str(exc)) from None
-    return (edge_id, participants, start, end), enc
+    if edge_id in seen_ids:
+        raise RecordInvalid(index, f"duplicate edge id {edge_id!r}")
+    seen_ids.add(edge_id)
+    edges.add(edge_id, members, start, end)
+    return enc
 
 
 def read_network(
     source: BinaryIO | bytes | bytearray, strict: bool = True
-) -> tuple[list[EdgeRow], ReadReport]:
-    """Parse a network document into metadata and checked edge rows for build_hypergraph.
+) -> tuple[EdgeColumns, ReadReport]:
+    """Parse a network document into metadata and checked edge columns for build_hypergraph.
 
-    A row is ``(id, participants, start, end)``; no record object is built.
+    Records are added to the columns as they are parsed; no tuple is built per edge.
     Raises MalformedJson for structural problems, MixedTimeEncodings when
     tick and calendar timestamps meet, and RecordInvalid for the first bad
     record in strict mode. In lenient mode bad records are skipped and
@@ -259,9 +261,8 @@ def read_network(
     time_unit: str | None = None
     schema: int | None = None
     encoding: str | None = None
-    edges: list[EdgeRow] = []
+    edges = EdgeColumns()
     seen_ids: set[str] = set()
-    names: dict[str, str] = {}
     skipped: list[tuple[int, str]] = []
     saw_edges = False
 
@@ -291,16 +292,11 @@ def read_network(
                 while True:
                     raw = reader.value()
                     try:
-                        edge, encoding = _parse_record(raw, index, encoding, names)
-                        if edge[0] in seen_ids:
-                            raise RecordInvalid(index, f"duplicate edge id {edge[0]!r}")
+                        encoding = _parse_record(raw, index, encoding, edges, seen_ids)
                     except RecordInvalid as exc:
                         if strict:
                             raise
                         skipped.append((exc.index, exc.reason))
-                    else:
-                        seen_ids.add(edge[0])
-                        edges.append(edge)
                     index += 1
                     if sep := _COMMA.match(reader.buf, reader.pos):
                         reader.pos = sep.end()
@@ -419,9 +415,14 @@ def write_results(result: "DiffusionResult", fmt: str = "json") -> bytes:
     source, then metric, then vertex.
     """
     if fmt == "json":
-        sources = [source_doc(g) for _, g in groupby(result.labels, attrgetter("source"))]
-        return canonical_json_bytes({"schema": 1, "kind": "thd-result", "provenance": result.provenance,
-                                     "sources": sources, "summary": result.summary})
+        # the whole document's canonical bytes (keys kind, provenance, schema, sources, summary)
+        head = canonical_json_bytes({"kind": "thd-result", "provenance": result.provenance, "schema": 1})
+        buf = _stdio.BytesIO()
+        buf.write(head[:-2] + b',"sources":[')
+        for i, (_, labels) in enumerate(groupby(result.labels, attrgetter("source"))):
+            buf.write((b"," if i else b"") + canonical_json_bytes(source_doc(labels))[:-1])
+        buf.write(b"]," + canonical_json_bytes({"summary": result.summary})[1:])
+        return buf.getvalue()
     if fmt == "csv":
         out = _stdio.StringIO()
         writer = csv.writer(out, lineterminator="\n")

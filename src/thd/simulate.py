@@ -168,14 +168,13 @@ def input_digest(h: TimeVaryingHypergraph) -> str:
     SHA-256 of each edge's compact ``json.dumps([id, sorted(participants),
     start, end], ensure_ascii=False)`` in id order, which is index order,
     built by hand (member indexes sort as ids do) and hashed a slice of
-    edges at a time.
+    edges at a time; only the vertex ids are encoded all at once.
     """
     names = [encode_basestring(v) for v in h.vertex_ids]
-    ids = [encode_basestring(e) for e in h.edge_ids]
-    starts, ends, members = h.edge_starts, h.edge_ends, h.edge_members
+    ids, starts, ends, members = h.edge_ids, h.edge_starts, h.edge_ends, h.edge_members
     digest = hashlib.sha256()
     for lo in range(0, len(ids), 4096):
-        rows = (f'[{ids[i]},[{",".join([names[v] for v in members[i]])}],'
+        rows = (f'[{encode_basestring(ids[i])},[{",".join([names[v] for v in members[i]])}],'
                 f"{starts[i]},{ends[i]}]" for i in range(lo, min(lo + 4096, len(ids))))
         digest.update("".join(rows).encode("utf-8"))
     return digest.hexdigest()

@@ -1,5 +1,7 @@
 import json
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from thd.io import canonical_json_bytes, entry_labels
 
 def test_empty_document():
     edges, report = read_network(b'{"name":"g","edges":[]}')
-    assert edges == []
+    assert list(edges) == []
     assert report.name == "g"
     assert report.record_count == 0
     assert report.time_encoding is None
@@ -199,16 +201,18 @@ def test_lenient_skips_and_counts():
         "edges": [
             {"id": "e1", "participants": ["a", "b"], "start": 0, "end": 1},
             {"id": "bad", "participants": ["a"], "start": 0, "end": 1},
-            {"id": "e1", "participants": ["a", "c"], "start": 0, "end": 1},
+            {"id": "e1", "participants": ["a", "x"], "start": 0, "end": 1},
             {"id": "e2", "participants": ["b", "c"], "start": 2, "end": 3},
+            {"id": "e3", "participants": ["y", "z"], "start": 5, "end": 4},
         ]
     }
     edges, report = read_network(json.dumps(doc).encode(), strict=False)
     assert [edge_id for edge_id, *_ in edges] == ["e1", "e2"]
-    assert len(report.skipped) == 2
-    assert report.skipped[0][0] == 1
-    assert report.skipped[1][0] == 2
+    assert [index for index, _ in report.skipped] == [1, 2, 4]
     assert "duplicate edge id" in report.skipped[1][1]
+    # a skipped record leaves no trace: x, y and z appear only in skipped records
+    assert list(edges) == [("e1", ("a", "b"), 0, 1), ("e2", ("b", "c"), 2, 3)]
+    assert build_hypergraph(edges).vertex_ids == ("a", "b", "c")
 
 
 @pytest.mark.parametrize(
@@ -238,7 +242,7 @@ def test_malformed_documents(data):
 
 def test_missing_edges_key_is_empty():
     edges, report = read_network(b'{"name": "g"}')
-    assert edges == []
+    assert list(edges) == []
 
 
 def test_multi_chunk_streaming():
@@ -487,6 +491,34 @@ def test_results_empty(g1):
     assert a == write_results(result, "json")
     assert json.loads(a)["sources"] == []
     assert write_results(result, "csv").decode().splitlines() == ["source,vertex,metric,value"]
+
+
+def _whole_document(result):
+    """The result as one canonical_json_bytes of the whole document."""
+    sources = [thd_io.source_doc(g) for _, g in groupby(result.labels, attrgetter("source"))]
+    return canonical_json_bytes({"schema": 1, "kind": "thd-result", "provenance": result.provenance,
+                                 "sources": sources, "summary": result.summary})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "plan",
+    [
+        SimulationPlan(metrics=tuple(Metric), sample_size=8, sample_seed=1, keep_predecessors=True),
+        SimulationPlan(metrics=tuple(Metric), sample_size=8, sample_seed=2, t0=0, horizon=30),
+        SimulationPlan(metrics=tuple(Metric), sample_size=0),
+    ],
+    ids=["witnesses", "horizon", "no-sources"],
+)
+def test_results_json_joins_the_whole_document(seed, plan):
+    # write_results encodes one source at a time between the document's prefix and summary
+    h = gen_random(GenParams(vertex_count=25, edge_count=80, span=60, seed=seed))
+    name = {v: f"\u00e9{v}\U0001f600" for v in h.vertex_ids}
+    h = build_hypergraph((e.id, [name[p] for p in e.participants], e.start, e.end) for e in h.edges)
+    result = run(h, plan)
+    data = write_results(result, "json")
+    assert data == _whole_document(result)
+    assert (b'"sources":[]' in data) == (plan.sample_size == 0)
 
 
 def test_unknown_format_rejected(g1):

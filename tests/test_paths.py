@@ -435,7 +435,7 @@ def test_predecessor_chains_terminate_at_source():
          "via-not-on-edge", "closed-edge", "wrong-arrival"],
 )
 def test_validate_walk_rejects(g1, walk, message):
-    # the same refusals on the network built from parsed rows
+    # the same refusals on the network built from the parsed document
     for h in (g1, build_hypergraph(read_network(write_network(g1))[0])):
         with pytest.raises(InfeasibleWalk, match=re.escape(message)):
             validate_walk(h, walk)
